@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
       "%d reactors, %s), 2 shards ==\n\n",
       door.port(), door.binary_port(), binary_reactors,
       door.binary_server()->reuseport_active() ? "SO_REUSEPORT"
-                                               : "fd-handoff fallback");
+                                               : "single listener");
 
   std::vector<Phase> phases;
   auto run_phase = [&](const std::string& name, net::LoadTransport transport,

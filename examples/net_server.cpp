@@ -7,9 +7,8 @@
 // Then, from another terminal:
 //
 //   curl -s localhost:8080/v1/stats
-//   curl -s -X POST localhost:8080/v1/submit -d \
-//     '{"tenant":1,"txns":[{"ops":[{"op":"write","object":3},
-//                                  {"op":"write","object":9}]}]}'
+//   curl -s -X POST localhost:8080/v1/submit -d '{"tenant":1,"txns":[
+//     {"ops":[{"op":"write","object":3},{"op":"write","object":9}]}]}'
 //   curl -s localhost:8080/metrics | head
 //   curl -s -X POST localhost:8080/v1/admin/protocol -d '{"protocol":"edf-sql"}'
 //
@@ -136,7 +135,7 @@ int main(int argc, char** argv) {
                 door.binary_port(), reactors,
                 door.binary_server()->reuseport_active()
                     ? "SO_REUSEPORT"
-                    : "fd-handoff fallback");
+                    : "single listener");
   }
   std::printf("try: curl -s localhost:%u/v1/stats\n", door.port());
 

@@ -93,8 +93,8 @@ Status FrontDoor::Start() {
       std::move(sched_options), server_.get());
 
   // Serve before recovering: until Init() (snapshot load + WAL replay)
-  // finishes, ready_ stays false and HandleRequest answers 503
-  // "recovering" for everything except /metrics.
+  // finishes and the shards start, ready_ stays false and both transports
+  // answer 503 "recovering" (HTTP /metrics excepted).
   HttpServer::Options http_options = options_.http;
   http_options.metrics = &metrics_;
   http_ = std::make_unique<HttpServer>(http_options);
@@ -111,8 +111,8 @@ Status FrontDoor::Start() {
           HandleWireFrame(std::move(frame), std::move(responder));
         }));
   }
-  started_.store(true);
   if (options_.recovery_barrier_for_test) options_.recovery_barrier_for_test();
+  started_.store(true);
 
   DS_RETURN_NOT_OK(sched_->Init());
   // Resume transaction ids above anything recovery restored; reusing a
@@ -209,7 +209,7 @@ void FrontDoor::HandleRequest(HttpRequest request,
   requests_total_->Increment();
   const std::string path = request.Path();
 
-  if (!ready_.load(std::memory_order_acquire) && started_.load()) {
+  if (!ready_.load(std::memory_order_acquire)) {
     // Recovery (snapshot load + WAL replay) is still running. Metrics stay
     // scrapeable; everything else — including submits — answers 503 with
     // Retry-After so clients back off instead of racing the replay.
@@ -495,7 +495,7 @@ void FrontDoor::HandleWireFrame(wire::WireFrame frame,
                                 wire::BinaryServer::Responder responder) {
   requests_total_->Increment();
 
-  if (!ready_.load(std::memory_order_acquire) && started_.load()) {
+  if (!ready_.load(std::memory_order_acquire)) {
     // Recovery is still running: same 503 + Retry-After the HTTP side
     // answers, without closing the connection — clients back off and retry
     // on the same pipe.

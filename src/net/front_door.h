@@ -1,12 +1,12 @@
 // FrontDoor: the network face of the declarative scheduling middleware.
 //
-// Wires the async HTTP server — and, when Options::binary is set, the
-// multi-reactor binary wire server (net/wire/) — to one ShardedScheduler +
-// DatabaseServer stack. Both transports feed the same submission core
-// (SubmitWork): same admission order, same tenant buckets, same in-flight
-// cap, same response counters, so a batch admits and dispatches
-// identically whether it arrived as JSON or as a wire SUBMIT frame. The
-// HTTP side speaks a small JSON API:
+// Wires the HTTP server — and, when Options::binary is set, the binary
+// wire server (net/wire/), the same connection layer (net/server.h) with
+// the other codec — to one ShardedScheduler + DatabaseServer stack. Both
+// transports feed the same submission core (SubmitWork): same admission
+// order, same tenant buckets, same in-flight cap, same response counters,
+// so a batch admits and dispatches identically whether it arrived as JSON
+// or as a wire SUBMIT frame. The HTTP side speaks a small JSON API:
 //
 //   POST /v1/submit          submit a batch of transactions; the response
 //                            is deferred until every transaction commits
@@ -115,8 +115,8 @@ class FrontDoor {
     /// (storage::Wal::WhenDurable), and Shutdown writes a clean-shutdown
     /// checkpoint so the next start replays nothing.
     scheduler::ShardedScheduler::DurabilityOptions durability;
-    /// Test hook: runs after the HTTP server is up but before recovery —
-    /// the window where /healthz must report "recovering".
+    /// Test hook: runs as soon as the listeners are up, before recovery —
+    /// the window where /healthz and submits must report "recovering".
     std::function<void()> recovery_barrier_for_test;
   };
 
@@ -261,8 +261,9 @@ class FrontDoor {
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> started_{false};
-  /// False while the HTTP server is up but recovery has not finished:
-  /// everything except /metrics answers 503 "recovering".
+  /// False until recovery has finished and the shards run (and again
+  /// after Shutdown): every request on either transport except HTTP
+  /// /metrics answers 503 "recovering".
   std::atomic<bool> ready_{false};
   std::atomic<int64_t> inflight_statements_{0};
   std::atomic<int64_t> next_ta_{1};

@@ -1,381 +1,113 @@
 #include "net/http_server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <cstring>
-#include <thread>
-
-#include "common/logging.h"
+#include <deque>
+#include <string>
 
 namespace declsched::net {
 
-namespace {
+/// One connection's HTTP state: the request parser and the in-arrival-order
+/// response slots.
+class HttpCodec final : public Server::Codec {
+ public:
+  HttpCodec(HttpRequestParser::Limits limits,
+            observability::Counter* parse_errors, HttpServer::HandlerFn handler)
+      : parser_(limits),
+        parse_errors_(parse_errors),
+        handler_(std::move(handler)) {}
 
-Status SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::Internal(std::string("fcntl O_NONBLOCK: ") +
-                            std::strerror(errno));
+  void Feed(std::string_view bytes) override { parser_.Feed(bytes); }
+
+  bool Next(Server::Connection& conn) override {
+    if (closing_) return false;
+    HttpRequest request;
+    const HttpRequestParser::Outcome outcome = parser_.Next(&request);
+    if (outcome == HttpRequestParser::Outcome::kNeedMore) return false;
+    if (outcome == HttpRequestParser::Outcome::kError) {
+      if (parse_errors_ != nullptr) parse_errors_->Increment();
+      closing_ = true;
+      slots_.push_back(Slot{next_seq_++, /*done=*/true, /*keep_alive=*/false,
+                            HttpResponse::Error(parser_.error_status(),
+                                                "bad_request",
+                                                parser_.error_message())
+                                .Serialize(/*keep_alive=*/false)});
+      WriteReadySlots(conn);
+      return false;
+    }
+    const uint64_t seq = next_seq_++;
+    const bool keep_alive = request.keep_alive;
+    closing_ = !keep_alive;
+    slots_.push_back(Slot{seq, false, keep_alive, {}});
+    // The handler may answer inline, which re-enters Complete.
+    handler_(std::move(request),
+             HttpServer::Responder(conn.NewReply(seq), keep_alive));
+    return true;
   }
-  return Status::OK();
-}
 
-}  // namespace
+  void Complete(Server::Connection& conn, uint64_t seq,
+                std::string bytes) override {
+    // Slots are consecutive from the front, so the seq indexes the queue.
+    if (slots_.empty() || seq < slots_.front().seq) return;
+    const uint64_t index = seq - slots_.front().seq;
+    if (index >= slots_.size()) return;
+    Slot& slot = slots_[index];
+    slot.done = true;
+    slot.wire = bytes.empty()
+                    ? HttpResponse::Error(500, "internal",
+                                          "handler dropped request")
+                          .Serialize(slot.keep_alive)
+                    : std::move(bytes);
+    WriteReadySlots(conn);
+  }
 
-// The responder's core outlives both the connection and (safely no-ops
-// after) the server: it weakly references the reactor, and the posted
-// completion routes through the server pointer only while the reactor is
-// still accepting tasks — the server keeps the reactor alive until after
-// the loop has drained.
-struct HttpServer::Responder::Core {
-  std::weak_ptr<Reactor> reactor;
-  HttpServer* server = nullptr;
-  uint64_t conn_id = 0;
-  uint64_t seq = 0;
-  std::atomic<bool> sent{false};
+ private:
+  struct Slot {
+    uint64_t seq = 0;
+    bool done = false;
+    bool keep_alive = true;
+    std::string wire;  ///< serialized response, valid when done
+  };
 
-  void Deliver(HttpResponse response) {
-    if (sent.exchange(true, std::memory_order_acq_rel)) return;
-    std::shared_ptr<Reactor> r = reactor.lock();
-    if (r == nullptr) return;
-    HttpServer* s = server;
-    const uint64_t conn = conn_id;
-    const uint64_t slot = seq;
-    auto task = [s, conn, slot, resp = std::move(response)]() mutable {
-      s->CompleteSlot(conn, slot, std::move(resp));
-    };
-    if (r->InReactorThread()) {
-      task();
-    } else {
-      r->Post(std::move(task));
+  /// Moves completed slots, in order, to the output; the last response of
+  /// a closing connection closes it once written.
+  void WriteReadySlots(Server::Connection& conn) {
+    while (!slots_.empty() && slots_.front().done) {
+      conn.Write(slots_.front().wire);
+      if (!slots_.front().keep_alive) conn.CloseAfterFlush();
+      slots_.pop_front();
     }
   }
 
-  ~Core() {
-    // Every copy dropped without an answer: fail the slot rather than
-    // wedging the connection's pipeline.
-    Deliver(HttpResponse::Error(500, "internal", "handler dropped request"));
-  }
+  HttpRequestParser parser_;
+  observability::Counter* parse_errors_;
+  HttpServer::HandlerFn handler_;
+  std::deque<Slot> slots_;
+  uint64_t next_seq_ = 0;
+  /// Parse error or `Connection: close`: decode nothing more.
+  bool closing_ = false;
 };
 
 void HttpServer::Responder::Send(HttpResponse response) const {
-  if (core_ != nullptr) core_->Deliver(std::move(response));
+  if (reply_ != nullptr) reply_->Send(response.Serialize(keep_alive_));
 }
 
-HttpServer::HttpServer(Options options) : options_(std::move(options)) {
-  reactor_ = std::make_shared<Reactor>();
-  if (options_.metrics != nullptr) {
-    auto* m = options_.metrics;
-    accepted_total_ = m->GetCounter("net_connections_accepted_total",
-                                    "Connections accepted by the listener");
-    rejected_total_ =
-        m->GetCounter("net_connections_rejected_total",
-                      "Connections refused at the max_connections cap");
-    parse_errors_total_ = m->GetCounter(
+HttpServer::HttpServer(Options options)
+    : Server(options,
+             Transport{"net", "HTTP",
+                       HttpResponse::Error(503, "overloaded",
+                                           "connection limit reached")
+                           .Serialize(/*keep_alive=*/false)}),
+      parser_limits_(options.parser_limits) {
+  if (options.metrics != nullptr) {
+    parse_errors_total_ = options.metrics->GetCounter(
         "net_http_parse_errors_total", "Requests rejected by the HTTP parser");
-    slow_client_closes_total_ =
-        m->GetCounter("net_slow_client_closes_total",
-                      "Connections closed for exceeding the write budget");
-    connections_gauge_ =
-        m->GetGauge("net_connections_open", "Currently open connections");
   }
 }
-
-HttpServer::~HttpServer() { Shutdown(); }
 
 Status HttpServer::Start(HandlerFn handler) {
-  DS_CHECK(!started_);
-  handler_ = std::move(handler);
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad bind address: " +
-                                   options_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return Status::Internal(std::string("bind: ") + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 1024) != 0) {
-    return Status::Internal(std::string("listen: ") + std::strerror(errno));
-  }
-  DS_RETURN_NOT_OK(SetNonBlocking(listen_fd_));
-
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    return Status::Internal(std::string("getsockname: ") +
-                            std::strerror(errno));
-  }
-  port_ = ntohs(bound.sin_port);
-
-  DS_RETURN_NOT_OK(
-      reactor_->Add(listen_fd_, Reactor::kReadable, [this](uint32_t) {
-        DoAccept();
-      }));
-  reactor_->Start();
-  started_ = true;
-  return Status::OK();
-}
-
-void HttpServer::Shutdown() {
-  if (shut_down_.exchange(true)) return;
-  if (!started_) {
-    reactor_->Stop();
-    return;
-  }
-  // Phase 1: stop accepting.
-  reactor_->Post([this] {
-    if (listen_fd_ >= 0) {
-      reactor_->Remove(listen_fd_);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
+  return Server::Start([limits = parser_limits_, errors = parse_errors_total_,
+                        handler = std::move(handler)] {
+    return std::make_unique<HttpCodec>(limits, errors, handler);
   });
-  // Phase 2: drain in-flight responders.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.drain_timeout_ms);
-  while (pending_slots_.load(std::memory_order_acquire) > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Phase 3: tear down connections, then stop the loop.
-  reactor_->Post([this] {
-    std::vector<uint64_t> ids;
-    ids.reserve(connections_.size());
-    for (const auto& [id, conn] : connections_) ids.push_back(id);
-    for (uint64_t id : ids) CloseConnection(id);
-  });
-  reactor_->Stop();
-}
-
-void HttpServer::DoAccept() {
-  while (true) {
-    sockaddr_in peer{};
-    socklen_t len = sizeof(peer);
-    const int fd = ::accept4(listen_fd_, reinterpret_cast<sockaddr*>(&peer),
-                             &len, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      DS_LOG(Warn) << "accept: " << std::strerror(errno);
-      return;
-    }
-    if (static_cast<int>(connections_.size()) >= options_.max_connections) {
-      // Over the cap: a one-shot 503 tells well-behaved clients to back
-      // off; the write is best-effort on a fresh socket.
-      const std::string reply =
-          HttpResponse::Error(503, "overloaded", "connection limit reached")
-              .Serialize(/*keep_alive=*/false);
-      ssize_t n = ::write(fd, reply.data(), reply.size());
-      (void)n;
-      ::close(fd);
-      if (rejected_total_ != nullptr) rejected_total_->Increment();
-      continue;
-    }
-    const int one = 1;
-    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-    const uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<Connection>(options_.parser_limits);
-    conn->id = id;
-    conn->fd = fd;
-    Connection* raw = conn.get();
-    connections_[id] = std::move(conn);
-    const Status st = reactor_->Add(
-        fd, Reactor::kReadable,
-        [this, id](uint32_t events) { OnConnectionEvent(id, events); });
-    if (!st.ok()) {
-      DS_LOG(Warn) << "register connection: " << st;
-      connections_.erase(id);
-      ::close(fd);
-      continue;
-    }
-    (void)raw;
-    connection_count_.fetch_add(1, std::memory_order_relaxed);
-    if (accepted_total_ != nullptr) accepted_total_->Increment();
-    // Gauge tracks the accept/close atomic (not the map size) so the
-    // exported count is exact from any thread's point of view.
-    if (connections_gauge_ != nullptr) connections_gauge_->Add(1);
-  }
-}
-
-void HttpServer::OnConnectionEvent(uint64_t conn_id, uint32_t events) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;
-  Connection* conn = it->second.get();
-  if (events & Reactor::kReadable) {
-    ReadFromConnection(conn);
-    // The read may have closed the connection.
-    it = connections_.find(conn_id);
-    if (it == connections_.end()) return;
-    conn = it->second.get();
-  }
-  if (events & Reactor::kWritable) FlushConnection(conn);
-}
-
-HttpServer::Responder HttpServer::MakeResponder(uint64_t conn_id,
-                                                uint64_t seq) {
-  Responder responder;
-  responder.core_ = std::make_shared<Responder::Core>();
-  responder.core_->reactor = reactor_;
-  responder.core_->server = this;
-  responder.core_->conn_id = conn_id;
-  responder.core_->seq = seq;
-  return responder;
-}
-
-void HttpServer::ReadFromConnection(Connection* conn) {
-  char buf[16 * 1024];
-  bool peer_closed = false;
-  while (true) {
-    const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
-    if (n > 0) {
-      conn->parser.Feed(std::string_view(buf, static_cast<size_t>(n)));
-      if (static_cast<size_t>(n) < sizeof(buf)) break;
-      continue;
-    }
-    if (n == 0) {
-      peer_closed = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    peer_closed = true;  // hard error: treat as close
-    break;
-  }
-
-  const uint64_t conn_id = conn->id;
-  while (!conn->close_after_flush) {
-    HttpRequest request;
-    const HttpRequestParser::Outcome outcome = conn->parser.Next(&request);
-    if (outcome == HttpRequestParser::Outcome::kNeedMore) break;
-    if (outcome == HttpRequestParser::Outcome::kError) {
-      if (parse_errors_total_ != nullptr) parse_errors_total_->Increment();
-      Slot slot;
-      slot.seq = conn->next_seq++;
-      slot.done = true;
-      slot.keep_alive = false;
-      slot.wire = HttpResponse::Error(conn->parser.error_status(), "bad_request",
-                                      conn->parser.error_message())
-                      .Serialize(/*keep_alive=*/false);
-      conn->slots.push_back(std::move(slot));
-      conn->close_after_flush = true;
-      break;
-    }
-    Slot slot;
-    slot.seq = conn->next_seq++;
-    slot.keep_alive = request.keep_alive;
-    if (!request.keep_alive) conn->close_after_flush = true;
-    const uint64_t seq = slot.seq;
-    conn->slots.push_back(std::move(slot));
-    pending_slots_.fetch_add(1, std::memory_order_acq_rel);
-    // The handler may answer inline, which mutates conn->slots — take no
-    // references across this call.
-    handler_(std::move(request), MakeResponder(conn_id, seq));
-    auto it = connections_.find(conn_id);
-    if (it == connections_.end()) return;  // handler path closed us
-    conn = it->second.get();
-  }
-
-  if (peer_closed) {
-    // Flush what we can synchronously, then drop the connection; slots
-    // still pending die with it (their responders become no-ops).
-    FlushConnection(conn);
-    auto it = connections_.find(conn_id);
-    if (it != connections_.end()) CloseConnection(conn_id);
-    return;
-  }
-  FlushConnection(conn);
-}
-
-void HttpServer::CompleteSlot(uint64_t conn_id, uint64_t seq,
-                              HttpResponse response) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;  // connection died first
-  Connection* conn = it->second.get();
-  for (Slot& slot : conn->slots) {
-    if (slot.seq != seq) continue;
-    if (slot.done) return;
-    slot.done = true;
-    slot.wire = response.Serialize(slot.keep_alive);
-    pending_slots_.fetch_sub(1, std::memory_order_acq_rel);
-    FlushConnection(conn);
-    return;
-  }
-}
-
-void HttpServer::FlushConnection(Connection* conn) {
-  // Move completed slots, in order, into the write buffer.
-  while (!conn->slots.empty() && conn->slots.front().done) {
-    conn->write_buffer += conn->slots.front().wire;
-    conn->slots.pop_front();
-  }
-  if (conn->write_buffer.size() > options_.max_write_buffer_bytes) {
-    if (slow_client_closes_total_ != nullptr) {
-      slow_client_closes_total_->Increment();
-    }
-    CloseConnection(conn->id);
-    return;
-  }
-  size_t written = 0;
-  while (written < conn->write_buffer.size()) {
-    const ssize_t n = ::write(conn->fd, conn->write_buffer.data() + written,
-                              conn->write_buffer.size() - written);
-    if (n > 0) {
-      written += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    CloseConnection(conn->id);  // peer gone
-    return;
-  }
-  conn->write_buffer.erase(0, written);
-
-  const bool need_writable = !conn->write_buffer.empty();
-  if (need_writable != conn->want_writable) {
-    conn->want_writable = need_writable;
-    const uint32_t interest =
-        Reactor::kReadable | (need_writable ? Reactor::kWritable : 0);
-    (void)reactor_->Modify(conn->fd, interest);
-  }
-  if (conn->close_after_flush && conn->slots.empty() &&
-      conn->write_buffer.empty()) {
-    CloseConnection(conn->id);
-  }
-}
-
-void HttpServer::CloseConnection(uint64_t conn_id) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;
-  Connection* conn = it->second.get();
-  // Slots that never completed: their responders will no-op into a dead
-  // conn_id; drop them from the pending count here.
-  for (const Slot& slot : conn->slots) {
-    if (!slot.done) pending_slots_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  reactor_->Remove(conn->fd);
-  ::close(conn->fd);
-  connections_.erase(it);
-  connection_count_.fetch_sub(1, std::memory_order_relaxed);
-  if (connections_gauge_ != nullptr) connections_gauge_->Add(-1);
 }
 
 }  // namespace declsched::net

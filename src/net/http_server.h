@@ -1,61 +1,37 @@
-// Async HTTP/1.1 server on the epoll reactor.
+// Async HTTP/1.1 server: the HTTP codec on the shared connection layer
+// (net/server.h).
 //
-// One reactor thread owns the listener and every connection; application
-// handlers run on that thread and answer through a Responder, which may be
-// fulfilled immediately or carried off to another thread (a shard worker)
-// and completed later — the response is posted back to the reactor. With
-// keep-alive pipelining in play, responses are delivered strictly in the
-// order their requests arrived on the connection: each request takes a
-// slot in a per-connection queue and the writer only flushes completed
-// slots from the front.
+// Application handlers run on the connection's reactor thread and answer
+// through a Responder, which may be fulfilled immediately or carried off
+// to another thread (a shard worker) and completed later — the response is
+// posted back to the reactor. With keep-alive pipelining in play,
+// responses are delivered strictly in the order their requests arrived on
+// the connection: each request takes a slot in a per-connection queue and
+// only completed slots from the front are written.
 //
-// Built-in protection (before the application sees a request):
-//   - bounded connection count: accepts past the cap are answered with a
-//     best-effort 503 and closed, so a connection flood cannot exhaust fds;
-//   - slow-client write budget: a connection whose buffered response bytes
-//     exceed the cap is closed rather than growing without bound;
-//   - parser limits: oversized headers (431), oversized bodies (413), and
-//     unsupported framings (501) are answered and the connection closed.
-//
-// Shutdown is graceful: the listener closes first, in-flight responders
-// get a drain window to complete, then remaining connections are torn
-// down and the reactor stops.
+// The codec's own protection, before the application sees a request:
+// parser limits — oversized headers (431), oversized bodies (413), and
+// unsupported framings (501) are answered and the connection closed once
+// the earlier responses have gone out. A `Connection: close` request is
+// answered in order and then closes the connection. Connections refused
+// at the cap get a best-effort 503.
 
 #ifndef DECLSCHED_NET_HTTP_SERVER_H_
 #define DECLSCHED_NET_HTTP_SERVER_H_
 
-#include <atomic>
-#include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <string>
-#include <unordered_map>
 
 #include "common/status.h"
 #include "net/http.h"
-#include "net/reactor.h"
-#include "observability/metrics.h"
+#include "net/server.h"
 
 namespace declsched::net {
 
-class HttpServer {
+class HttpServer : public Server {
  public:
-  struct Options {
-    /// Port to listen on; 0 picks an ephemeral port (read it back with
-    /// port() after Start).
-    uint16_t port = 0;
-    std::string bind_address = "127.0.0.1";
-    /// Connection cap; accepts beyond it get a best-effort 503 and close.
-    int max_connections = 4096;
-    /// Slow-client budget: buffered unsent response bytes above this close
-    /// the connection.
-    size_t max_write_buffer_bytes = 256 * 1024;
-    /// How long Shutdown() waits for in-flight responders.
-    int drain_timeout_ms = 2000;
+  struct Options : Server::Options {
     HttpRequestParser::Limits parser_limits;
-    /// Optional: net_* connection counters are registered here.
-    observability::MetricsRegistry* metrics = nullptr;
   };
 
   /// Completion handle for one request's response slot. Copyable; the
@@ -68,91 +44,28 @@ class HttpServer {
    public:
     Responder() = default;
     void Send(HttpResponse response) const;
-    bool valid() const { return core_ != nullptr; }
+    bool valid() const { return reply_ != nullptr; }
 
    private:
-    friend class HttpServer;
-    struct Core;
-    std::shared_ptr<Core> core_;
+    friend class HttpCodec;
+    Responder(std::shared_ptr<Reply> reply, bool keep_alive)
+        : reply_(std::move(reply)), keep_alive_(keep_alive) {}
+    std::shared_ptr<Reply> reply_;
+    bool keep_alive_ = true;
   };
 
   /// Application callback; runs on the reactor thread. Must not block.
   using HandlerFn = std::function<void(HttpRequest, Responder)>;
 
   explicit HttpServer(Options options);
-  ~HttpServer();
 
-  HttpServer(const HttpServer&) = delete;
-  HttpServer& operator=(const HttpServer&) = delete;
-
-  /// Binds, listens, and starts the reactor thread.
+  /// Binds, listens, and starts the reactor threads.
   Status Start(HandlerFn handler);
-  /// Graceful stop; idempotent. Safe to call without Start.
-  void Shutdown();
-
-  /// Bound port (after Start).
-  uint16_t port() const { return port_; }
-  /// Live connection count — exact: one atomic maintained at accept and
-  /// close, and the same number the net_connections_open gauge exports, so
-  /// /metrics reconciles exactly with what the server holds open.
-  int64_t connections() const {
-    return connection_count_.load(std::memory_order_relaxed);
-  }
-  /// Responses not yet delivered to their slot.
-  int64_t pending_responses() const {
-    return pending_slots_.load(std::memory_order_relaxed);
-  }
 
  private:
-  struct Slot {
-    uint64_t seq = 0;
-    bool done = false;
-    bool keep_alive = true;
-    std::string wire;  ///< serialized response, valid when done
-  };
-
-  struct Connection {
-    uint64_t id = 0;
-    int fd = -1;
-    HttpRequestParser parser;
-    std::deque<Slot> slots;
-    uint64_t next_seq = 0;
-    std::string write_buffer;
-    bool want_writable = false;
-    /// Stop reading and close once all slots have flushed (parser error
-    /// or Connection: close).
-    bool close_after_flush = false;
-
-    explicit Connection(HttpRequestParser::Limits limits) : parser(limits) {}
-  };
-
-  void DoAccept();
-  void OnConnectionEvent(uint64_t conn_id, uint32_t events);
-  void ReadFromConnection(Connection* conn);
-  void CompleteSlot(uint64_t conn_id, uint64_t seq, HttpResponse response);
-  void FlushConnection(Connection* conn);
-  void CloseConnection(uint64_t conn_id);
-  Responder MakeResponder(uint64_t conn_id, uint64_t seq);
-
-  Options options_;
-  HandlerFn handler_;
-  std::shared_ptr<Reactor> reactor_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  bool started_ = false;
-  std::atomic<bool> shut_down_{false};
-
-  uint64_t next_conn_id_ = 1;
-  std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
-  std::atomic<int64_t> connection_count_{0};
-  std::atomic<int64_t> pending_slots_{0};
-
-  // Registered iff options_.metrics != nullptr.
-  observability::Counter* accepted_total_ = nullptr;
-  observability::Counter* rejected_total_ = nullptr;
+  HttpRequestParser::Limits parser_limits_;
+  // Registered iff options.metrics != nullptr.
   observability::Counter* parse_errors_total_ = nullptr;
-  observability::Counter* slow_client_closes_total_ = nullptr;
-  observability::Gauge* connections_gauge_ = nullptr;
 };
 
 }  // namespace declsched::net

@@ -1,619 +1,160 @@
 #include "net/wire/binary_server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <cstring>
-#include <thread>
-
-#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace declsched::net::wire {
 
 namespace {
 
-Status SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::Internal(std::string("fcntl O_NONBLOCK: ") +
-                            std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-/// `le` bounds for the frames-per-read histogram (counts, not latency).
-const std::vector<int64_t>& FramesPerReadBounds() {
-  static const std::vector<int64_t> kBounds = {1,  2,   4,   8,   16,  32,
-                                               64, 128, 256, 512, 1024};
-  return kBounds;
+std::string Frame(WireOp op, uint8_t flags, uint64_t request_id,
+                  std::string_view body) {
+  std::string frame;
+  frame.reserve(kFramePrefixBytes + kFrameHeaderBytes + body.size());
+  AppendFrame(&frame, op, flags, request_id, body);
+  return frame;
 }
 
 }  // namespace
 
-// Same lifetime contract as the HTTP responder core: it weakly references
-// the owning reactor, and the posted completion routes through the server
-// pointer only while that reactor is still accepting tasks — the server
-// keeps its reactors alive until every loop has drained.
-struct BinaryServer::Responder::Core {
-  std::weak_ptr<Reactor> reactor;
-  BinaryServer* server = nullptr;
-  int reactor_index = 0;
-  uint64_t conn_id = 0;
-  uint64_t request_id = 0;
-  std::atomic<bool> sent{false};
+/// One connection's wire state: the frame parser, the HELLO gate, and a
+/// pending FINISH.
+class WireServerCodec final : public Server::Codec {
+ public:
+  WireServerCodec(FrameParser::Limits limits,
+                  observability::Counter* frame_errors,
+                  BinaryServer::HandlerFn handler)
+      : parser_(limits),
+        frame_errors_(frame_errors),
+        handler_(std::move(handler)) {}
 
-  void Deliver(WireOp op, uint8_t flags, std::string_view body) {
-    if (sent.exchange(true, std::memory_order_acq_rel)) return;
-    std::shared_ptr<Reactor> r = reactor.lock();
-    if (r == nullptr) return;
-    std::string wire;
-    wire.reserve(kFramePrefixBytes + kFrameHeaderBytes + body.size());
-    AppendFrame(&wire, op, flags, request_id, body);
-    BinaryServer* s = server;
-    const int idx = reactor_index;
-    const uint64_t conn = conn_id;
-    const bool close_after = (flags & kFlagCloseAfter) != 0;
-    auto task = [s, idx, conn, close_after, w = std::move(wire)]() mutable {
-      s->CompleteFrame(idx, conn, std::move(w), close_after);
-    };
-    if (r->InReactorThread()) {
-      task();
-    } else {
-      r->Post(std::move(task));
+  void Feed(std::string_view bytes) override { parser_.Feed(bytes); }
+
+  bool Next(Server::Connection& conn) override {
+    WireFrame frame;
+    const FrameParser::Outcome outcome = parser_.Next(&frame);
+    if (outcome == FrameParser::Outcome::kNeedMore) return false;
+    if (outcome == FrameParser::Outcome::kError) {
+      if (frame_errors_ != nullptr) frame_errors_->Increment();
+      const uint16_t code =
+          parser_.error() == FrameParser::Error::kOversized ? 413 : 400;
+      Fail(conn, 0, code, parser_.error_message());
+      return false;
+    }
+
+    if (!hello_done_) {
+      uint32_t magic = 0;
+      uint16_t version = 0;
+      if (frame.op != WireOp::kHello) {
+        Fail(conn, frame.request_id, 400, "first frame must be HELLO");
+      } else if (!DecodeHelloBody(frame.body, &magic, &version).ok() ||
+                 magic != kWireMagic) {
+        Fail(conn, frame.request_id, 400, "bad HELLO magic");
+      } else if (version != kWireVersion) {
+        Fail(conn, frame.request_id, 505,
+             StrFormat("unsupported wire version %u (server speaks %u)",
+                       version, kWireVersion));
+      } else {
+        hello_done_ = true;
+        conn.Write(Frame(WireOp::kHelloOk, 0, frame.request_id,
+                         EncodeHelloOkBody()));
+      }
+      return true;
+    }
+
+    switch (frame.op) {
+      case WireOp::kSubmit:
+      case WireOp::kStats:
+      case WireOp::kExplain: {
+        const uint64_t request_id = frame.request_id;
+        // The handler may answer inline, which re-enters Complete.
+        handler_(std::move(frame),
+                 BinaryServer::Responder(conn.NewReply(request_id)));
+        return true;
+      }
+      case WireOp::kFinish:
+        finish_requested_ = true;
+        finish_request_id_ = frame.request_id;
+        MaybeFinish(conn);
+        return true;
+      default:
+        Fail(conn, frame.request_id, 400,
+             IsKnownWireOp(static_cast<uint8_t>(frame.op))
+                 ? StrFormat("unexpected %s frame", WireOpName(frame.op))
+                 : StrFormat("unknown op %u",
+                             static_cast<unsigned>(frame.op)));
+        return true;
     }
   }
 
-  ~Core() {
-    // Every copy dropped without an answer: fail the request id rather
-    // than wedging a pipelined client waiting on it.
-    Deliver(WireOp::kError, 0,
-            EncodeErrorBody({500, 0, "handler dropped request"}));
+  void Complete(Server::Connection& conn, uint64_t request_id,
+                std::string bytes) override {
+    if (bytes.empty()) {
+      bytes = Frame(WireOp::kError, 0, request_id,
+                    EncodeErrorBody({500, 0, "handler dropped request"}));
+    }
+    conn.Write(bytes);
+    MaybeFinish(conn);
   }
+
+ private:
+  /// Typed ERROR frame, then close.
+  void Fail(Server::Connection& conn, uint64_t request_id, uint16_t code,
+            std::string message) {
+    conn.Write(Frame(WireOp::kError, kFlagCloseAfter, request_id,
+                     EncodeErrorBody({code, 0, std::move(message)})));
+    conn.CloseAfterFlush();
+  }
+
+  /// FINISH drains: FINISH_OK once every outstanding request is answered.
+  void MaybeFinish(Server::Connection& conn) {
+    if (!finish_requested_ || conn.outstanding() > 0) return;
+    finish_requested_ = false;
+    conn.Write(Frame(WireOp::kFinishOk, kFlagCloseAfter, finish_request_id_,
+                     std::string_view()));
+    conn.CloseAfterFlush();
+  }
+
+  FrameParser parser_;
+  observability::Counter* frame_errors_;
+  BinaryServer::HandlerFn handler_;
+  bool hello_done_ = false;
+  bool finish_requested_ = false;
+  uint64_t finish_request_id_ = 0;
 };
 
 void BinaryServer::Responder::Send(WireOp op, std::string body,
                                    uint8_t flags) const {
-  if (core_ != nullptr) core_->Deliver(op, flags, body);
+  if (reply_ != nullptr) {
+    reply_->Send(Frame(op, flags, reply_->token(), body),
+                 (flags & kFlagCloseAfter) != 0);
+  }
 }
 
 void BinaryServer::Responder::SendError(const WireError& error,
                                         bool close_connection) const {
-  if (core_ != nullptr) {
-    core_->Deliver(WireOp::kError, close_connection ? kFlagCloseAfter : 0,
-                   EncodeErrorBody(error));
-  }
+  Send(WireOp::kError, EncodeErrorBody(error),
+       close_connection ? kFlagCloseAfter : 0);
 }
 
-BinaryServer::BinaryServer(Options options) : options_(std::move(options)) {
-  if (options_.reactor_threads < 1) options_.reactor_threads = 1;
-  port_ = options_.port;
-  for (int i = 0; i < options_.reactor_threads; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->reactor = std::make_shared<Reactor>();
-    shards_.push_back(std::move(shard));
-  }
-  if (options_.metrics != nullptr) {
-    auto* m = options_.metrics;
-    rejected_total_ =
-        m->GetCounter("wire_connections_rejected_total",
-                      "Wire connections refused at the max_connections cap");
-    frame_errors_total_ =
-        m->GetCounter("wire_frame_errors_total",
-                      "Wire connections dropped for malformed frames");
-    slow_client_closes_total_ =
-        m->GetCounter("wire_slow_client_closes_total",
-                      "Wire connections closed for exceeding the write budget");
-    connections_gauge_ =
-        m->GetGauge("wire_connections_open",
-                    "Currently open wire connections (exact, all reactors)");
-    frames_per_read_ = m->GetHistogram(
-        "wire_frames_per_read", "Complete frames decoded per read batch", {},
-        FramesPerReadBounds());
-    for (int i = 0; i < options_.reactor_threads; ++i) {
-      const observability::MetricLabels labels = {
-          {"reactor", std::to_string(i)}};
-      Shard* shard = shards_[static_cast<size_t>(i)].get();
-      shard->accepted =
-          m->GetCounter("wire_connections_accepted_total",
-                        "Wire connections adopted, by owning reactor", labels);
-      shard->bytes_in = m->GetCounter(
-          "wire_bytes_in_total", "Bytes read from wire clients", labels);
-      shard->bytes_out = m->GetCounter(
-          "wire_bytes_out_total", "Bytes written to wire clients", labels);
-      shard->frames_in = m->GetCounter(
-          "wire_frames_in_total", "Request frames decoded", labels);
-      shard->frames_out = m->GetCounter(
-          "wire_frames_out_total", "Response frames enqueued", labels);
-    }
+BinaryServer::BinaryServer(Options options)
+    : Server(options,
+             Transport{"wire", "wire",
+                       Frame(WireOp::kError, kFlagCloseAfter, 0,
+                             EncodeErrorBody(
+                                 {503, 1, "connection limit reached"}))}),
+      parser_limits_(options.parser_limits) {
+  if (options.metrics != nullptr) {
+    frame_errors_total_ = options.metrics->GetCounter(
+        "wire_frame_errors_total",
+        "Wire connections dropped for malformed frames");
   }
 }
-
-BinaryServer::~BinaryServer() { Shutdown(); }
 
 Status BinaryServer::Start(HandlerFn handler) {
-  DS_CHECK(!started_);
-  handler_ = std::move(handler);
-
-  if (!options_.force_fallback_accept) {
-    Status st = Status::OK();
-    for (auto& shard : shards_) {
-      Result<int> fd = OpenListener(/*reuseport=*/true);
-      if (!fd.ok()) {
-        st = fd.status();
-        break;
-      }
-      shard->listen_fd = *fd;
-    }
-    if (st.ok()) {
-      reuseport_active_ = true;
-    } else {
-      DS_LOG(Warn) << "SO_REUSEPORT listeners unavailable (" << st
-                   << "); falling back to single-acceptor fd handoff";
-      for (auto& shard : shards_) {
-        if (shard->listen_fd >= 0) {
-          ::close(shard->listen_fd);
-          shard->listen_fd = -1;
-        }
-      }
-      port_ = options_.port;
-    }
-  }
-  if (!reuseport_active_) {
-    Result<int> fd = OpenListener(/*reuseport=*/false);
-    if (!fd.ok()) return fd.status();
-    shards_[0]->listen_fd = *fd;
-  }
-
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Shard* shard = shards_[i].get();
-    if (shard->listen_fd < 0) continue;
-    const int index = static_cast<int>(i);
-    DS_RETURN_NOT_OK(shard->reactor->Add(
-        shard->listen_fd, Reactor::kReadable,
-        [this, index](uint32_t) { DoAccept(index); }));
-  }
-  for (auto& shard : shards_) shard->reactor->Start();
-  started_ = true;
-  return Status::OK();
-}
-
-void BinaryServer::Shutdown() {
-  if (shut_down_.exchange(true)) return;
-  if (!started_) {
-    for (auto& shard : shards_) shard->reactor->Stop();
-    return;
-  }
-  // Phase 1: stop accepting on every reactor that owns a listener.
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Shard* shard = shards_[i].get();
-    shard->reactor->Post([shard] {
-      if (shard->listen_fd >= 0) {
-        shard->reactor->Remove(shard->listen_fd);
-        ::close(shard->listen_fd);
-        shard->listen_fd = -1;
-      }
-    });
-  }
-  // Phase 2: drain in-flight responders.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.drain_timeout_ms);
-  while (pending_responses_.load(std::memory_order_acquire) > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Phase 3: tear down connections, then stop the loops. The teardown
-  // task is queued after any fd-handoff adoptions posted while the
-  // fallback acceptor was still live, so adopted connections are closed
-  // too.
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const int index = static_cast<int>(i);
-    shards_[i]->reactor->Post([this, index] {
-      Shard* shard = shards_[static_cast<size_t>(index)].get();
-      std::vector<uint64_t> ids;
-      ids.reserve(shard->conns.size());
-      for (const auto& [id, conn] : shard->conns) ids.push_back(id);
-      for (uint64_t id : ids) CloseConnection(index, id);
-    });
-  }
-  for (auto& shard : shards_) shard->reactor->Stop();
-}
-
-int64_t BinaryServer::accepted_by_reactor(int i) const {
-  if (i < 0 || static_cast<size_t>(i) >= shards_.size()) return 0;
-  return shards_[static_cast<size_t>(i)]->accepted_count.load(
-      std::memory_order_relaxed);
-}
-
-Result<int> BinaryServer::OpenListener(bool reuseport) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport &&
-      setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-    ::close(fd);
-    return Status::Internal(std::string("SO_REUSEPORT: ") +
-                            std::strerror(errno));
-  }
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port_);
-  if (inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad bind address: " +
-                                   options_.bind_address);
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status st =
-        Status::Internal(std::string("bind: ") + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  // Deep backlog: a 10k-connection loadgen opens its sockets in a burst,
-  // and REUSEPORT splits this across per-reactor queues.
-  if (::listen(fd, 4096) != 0) {
-    const Status st =
-        Status::Internal(std::string("listen: ") + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  const Status st = SetNonBlocking(fd);
-  if (!st.ok()) {
-    ::close(fd);
-    return st;
-  }
-
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    const Status gs =
-        Status::Internal(std::string("getsockname: ") + std::strerror(errno));
-    ::close(fd);
-    return gs;
-  }
-  // First listener may bind port 0; every later one binds the port the
-  // kernel picked, so all REUSEPORT listeners share it.
-  port_ = ntohs(bound.sin_port);
-  return fd;
-}
-
-void BinaryServer::DoAccept(int reactor_index) {
-  Shard* shard = shards_[static_cast<size_t>(reactor_index)].get();
-  while (true) {
-    sockaddr_in peer{};
-    socklen_t len = sizeof(peer);
-    const int fd = ::accept4(shard->listen_fd, reinterpret_cast<sockaddr*>(&peer),
-                             &len, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      DS_LOG(Warn) << "accept: " << std::strerror(errno);
-      return;
-    }
-    if (connection_count_.load(std::memory_order_relaxed) >=
-        options_.max_connections) {
-      // Over the global cap: a one-shot 503 ERROR frame tells well-behaved
-      // clients to back off; the write is best-effort on a fresh socket.
-      std::string reply;
-      AppendFrame(&reply, WireOp::kError, kFlagCloseAfter, 0,
-                  EncodeErrorBody({503, 1, "connection limit reached"}));
-      ssize_t n = ::write(fd, reply.data(), reply.size());
-      (void)n;
-      ::close(fd);
-      if (rejected_total_ != nullptr) rejected_total_->Increment();
-      continue;
-    }
-    const int one = 1;
-    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    // Counted at accept so the cap holds while a handed-off fd is in
-    // flight to its adopting reactor; undone on close or adopt failure.
-    connection_count_.fetch_add(1, std::memory_order_relaxed);
-    if (connections_gauge_ != nullptr) connections_gauge_->Add(1);
-
-    int target = reactor_index;
-    if (!reuseport_active_ && shards_.size() > 1) {
-      target = static_cast<int>(
-          round_robin_.fetch_add(1, std::memory_order_relaxed) %
-          shards_.size());
-    }
-    if (target == reactor_index) {
-      AdoptConnection(target, fd);
-    } else {
-      shards_[static_cast<size_t>(target)]->reactor->Post(
-          [this, target, fd] { AdoptConnection(target, fd); });
-    }
-  }
-}
-
-void BinaryServer::AdoptConnection(int reactor_index, int fd) {
-  Shard* shard = shards_[static_cast<size_t>(reactor_index)].get();
-  const uint64_t id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-  auto conn = std::make_unique<Connection>(options_.parser_limits);
-  conn->id = id;
-  conn->fd = fd;
-  shard->conns[id] = std::move(conn);
-  const Status st = shard->reactor->Add(
-      fd, Reactor::kReadable, [this, reactor_index, id](uint32_t events) {
-        OnConnectionEvent(reactor_index, id, events);
-      });
-  if (!st.ok()) {
-    DS_LOG(Warn) << "register wire connection: " << st;
-    shard->conns.erase(id);
-    ::close(fd);
-    connection_count_.fetch_sub(1, std::memory_order_relaxed);
-    if (connections_gauge_ != nullptr) connections_gauge_->Add(-1);
-    return;
-  }
-  shard->accepted_count.fetch_add(1, std::memory_order_relaxed);
-  if (shard->accepted != nullptr) shard->accepted->Increment();
-}
-
-void BinaryServer::OnConnectionEvent(int reactor_index, uint64_t conn_id,
-                                     uint32_t events) {
-  Shard* shard = shards_[static_cast<size_t>(reactor_index)].get();
-  auto it = shard->conns.find(conn_id);
-  if (it == shard->conns.end()) return;
-  Connection* conn = it->second.get();
-  if (events & Reactor::kReadable) {
-    ReadFromConnection(reactor_index, conn);
-    // The read may have closed the connection.
-    it = shard->conns.find(conn_id);
-    if (it == shard->conns.end()) return;
-    conn = it->second.get();
-  }
-  if (events & Reactor::kWritable) FlushConnection(reactor_index, conn);
-}
-
-BinaryServer::Responder BinaryServer::MakeResponder(int reactor_index,
-                                                    uint64_t conn_id,
-                                                    uint64_t request_id) {
-  Responder responder;
-  responder.core_ = std::make_shared<Responder::Core>();
-  responder.core_->reactor =
-      shards_[static_cast<size_t>(reactor_index)]->reactor;
-  responder.core_->server = this;
-  responder.core_->reactor_index = reactor_index;
-  responder.core_->conn_id = conn_id;
-  responder.core_->request_id = request_id;
-  return responder;
-}
-
-void BinaryServer::ReadFromConnection(int reactor_index, Connection* conn) {
-  Shard* shard = shards_[static_cast<size_t>(reactor_index)].get();
-  char buf[16 * 1024];
-  bool peer_closed = false;
-  size_t total_read = 0;
-  while (true) {
-    const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
-    if (n > 0) {
-      conn->parser.Feed(std::string_view(buf, static_cast<size_t>(n)));
-      total_read += static_cast<size_t>(n);
-      if (static_cast<size_t>(n) < sizeof(buf)) break;
-      continue;
-    }
-    if (n == 0) {
-      peer_closed = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    peer_closed = true;  // hard error: treat as close
-    break;
-  }
-  if (total_read > 0 && shard->bytes_in != nullptr) {
-    shard->bytes_in->Increment(static_cast<int64_t>(total_read));
-  }
-
-  const uint64_t conn_id = conn->id;
-  int64_t frames = 0;
-  while (!conn->close_after_flush) {
-    WireFrame frame;
-    const FrameParser::Outcome outcome = conn->parser.Next(&frame);
-    if (outcome == FrameParser::Outcome::kNeedMore) break;
-    if (outcome == FrameParser::Outcome::kError) {
-      if (frame_errors_total_ != nullptr) frame_errors_total_->Increment();
-      const uint16_t code =
-          conn->parser.error() == FrameParser::Error::kOversized ? 413 : 400;
-      SendFrame(reactor_index, conn, WireOp::kError, kFlagCloseAfter, 0,
-                EncodeErrorBody({code, 0, conn->parser.error_message()}));
-      conn->close_after_flush = true;
-      break;
-    }
-    ++frames;
-    if (shard->frames_in != nullptr) shard->frames_in->Increment();
-    // The handler may answer inline, which can flush and even close the
-    // connection — take no references across this call.
-    HandleFrame(reactor_index, conn, std::move(frame));
-    auto it = shard->conns.find(conn_id);
-    if (it == shard->conns.end()) {
-      if (frames_per_read_ != nullptr && frames > 0) {
-        frames_per_read_->Record(frames);
-      }
-      return;
-    }
-    conn = it->second.get();
-  }
-  if (frames_per_read_ != nullptr && frames > 0) {
-    frames_per_read_->Record(frames);
-  }
-
-  if (peer_closed) {
-    // Flush what we can synchronously, then drop the connection; requests
-    // still outstanding die with it (their responders become no-ops).
-    FlushConnection(reactor_index, conn);
-    auto it = shard->conns.find(conn_id);
-    if (it != shard->conns.end()) CloseConnection(reactor_index, conn_id);
-    return;
-  }
-  FlushConnection(reactor_index, conn);
-}
-
-bool BinaryServer::HandleFrame(int reactor_index, Connection* conn,
-                               WireFrame frame) {
-  if (!conn->hello_done) {
-    if (frame.op != WireOp::kHello) {
-      SendFrame(reactor_index, conn, WireOp::kError, kFlagCloseAfter,
-                frame.request_id,
-                EncodeErrorBody({400, 0, "first frame must be HELLO"}));
-      conn->close_after_flush = true;
-      return false;
-    }
-    uint32_t magic = 0;
-    uint16_t version = 0;
-    const Status st = DecodeHelloBody(frame.body, &magic, &version);
-    if (!st.ok() || magic != kWireMagic) {
-      SendFrame(reactor_index, conn, WireOp::kError, kFlagCloseAfter,
-                frame.request_id,
-                EncodeErrorBody({400, 0, "bad HELLO magic"}));
-      conn->close_after_flush = true;
-      return false;
-    }
-    if (version != kWireVersion) {
-      SendFrame(
-          reactor_index, conn, WireOp::kError, kFlagCloseAfter,
-          frame.request_id,
-          EncodeErrorBody(
-              {505, 0,
-               StrFormat("unsupported wire version %u (server speaks %u)",
-                         version, kWireVersion)}));
-      conn->close_after_flush = true;
-      return false;
-    }
-    conn->hello_done = true;
-    SendFrame(reactor_index, conn, WireOp::kHelloOk, 0, frame.request_id,
-              EncodeHelloOkBody());
-    return true;
-  }
-
-  switch (frame.op) {
-    case WireOp::kSubmit:
-    case WireOp::kStats:
-    case WireOp::kExplain: {
-      conn->outstanding++;
-      pending_responses_.fetch_add(1, std::memory_order_acq_rel);
-      const uint64_t request_id = frame.request_id;
-      handler_(std::move(frame),
-               MakeResponder(reactor_index, conn->id, request_id));
-      return true;
-    }
-    case WireOp::kFinish: {
-      if (conn->outstanding == 0) {
-        SendFrame(reactor_index, conn, WireOp::kFinishOk, kFlagCloseAfter,
-                  frame.request_id, std::string_view());
-        conn->close_after_flush = true;
-      } else {
-        // Drain: answer once the last outstanding request completes.
-        conn->finish_requested = true;
-        conn->finish_request_id = frame.request_id;
-      }
-      return true;
-    }
-    default: {
-      const std::string what =
-          IsKnownWireOp(static_cast<uint8_t>(frame.op))
-              ? StrFormat("unexpected %s frame", WireOpName(frame.op))
-              : StrFormat("unknown op %u",
-                          static_cast<unsigned>(frame.op));
-      SendFrame(reactor_index, conn, WireOp::kError, kFlagCloseAfter,
-                frame.request_id, EncodeErrorBody({400, 0, what}));
-      conn->close_after_flush = true;
-      return false;
-    }
-  }
-}
-
-void BinaryServer::CompleteFrame(int reactor_index, uint64_t conn_id,
-                                 std::string wire, bool close_after) {
-  Shard* shard = shards_[static_cast<size_t>(reactor_index)].get();
-  auto it = shard->conns.find(conn_id);
-  if (it == shard->conns.end()) return;  // connection died first
-  Connection* conn = it->second.get();
-  conn->outstanding--;
-  pending_responses_.fetch_sub(1, std::memory_order_acq_rel);
-  conn->write_buffer += wire;
-  if (shard->frames_out != nullptr) shard->frames_out->Increment();
-  if (close_after) conn->close_after_flush = true;
-  if (conn->finish_requested && conn->outstanding == 0) {
-    SendFrame(reactor_index, conn, WireOp::kFinishOk, kFlagCloseAfter,
-              conn->finish_request_id, std::string_view());
-    conn->close_after_flush = true;
-  }
-  FlushConnection(reactor_index, conn);
-}
-
-void BinaryServer::SendFrame(int reactor_index, Connection* conn, WireOp op,
-                             uint8_t flags, uint64_t request_id,
-                             std::string_view body) {
-  Shard* shard = shards_[static_cast<size_t>(reactor_index)].get();
-  AppendFrame(&conn->write_buffer, op, flags, request_id, body);
-  if (shard->frames_out != nullptr) shard->frames_out->Increment();
-}
-
-void BinaryServer::FlushConnection(int reactor_index, Connection* conn) {
-  Shard* shard = shards_[static_cast<size_t>(reactor_index)].get();
-  if (conn->write_buffer.size() > options_.max_write_buffer_bytes) {
-    if (slow_client_closes_total_ != nullptr) {
-      slow_client_closes_total_->Increment();
-    }
-    CloseConnection(reactor_index, conn->id);
-    return;
-  }
-  size_t written = 0;
-  while (written < conn->write_buffer.size()) {
-    const ssize_t n = ::write(conn->fd, conn->write_buffer.data() + written,
-                              conn->write_buffer.size() - written);
-    if (n > 0) {
-      written += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    CloseConnection(reactor_index, conn->id);  // peer gone
-    return;
-  }
-  if (written > 0 && shard->bytes_out != nullptr) {
-    shard->bytes_out->Increment(static_cast<int64_t>(written));
-  }
-  conn->write_buffer.erase(0, written);
-
-  const bool need_writable = !conn->write_buffer.empty();
-  if (need_writable != conn->want_writable) {
-    conn->want_writable = need_writable;
-    const uint32_t interest =
-        Reactor::kReadable | (need_writable ? Reactor::kWritable : 0);
-    (void)shard->reactor->Modify(conn->fd, interest);
-  }
-  if (conn->close_after_flush && conn->write_buffer.empty()) {
-    CloseConnection(reactor_index, conn->id);
-  }
-}
-
-void BinaryServer::CloseConnection(int reactor_index, uint64_t conn_id) {
-  Shard* shard = shards_[static_cast<size_t>(reactor_index)].get();
-  auto it = shard->conns.find(conn_id);
-  if (it == shard->conns.end()) return;
-  Connection* conn = it->second.get();
-  // Requests that never completed: their responders will no-op into a
-  // dead conn_id; drop them from the pending count here.
-  if (conn->outstanding > 0) {
-    pending_responses_.fetch_sub(conn->outstanding,
-                                 std::memory_order_acq_rel);
-  }
-  shard->reactor->Remove(conn->fd);
-  ::close(conn->fd);
-  shard->conns.erase(it);
-  connection_count_.fetch_sub(1, std::memory_order_relaxed);
-  if (connections_gauge_ != nullptr) connections_gauge_->Add(-1);
+  return Server::Start([limits = parser_limits_, errors = frame_errors_total_,
+                        handler = std::move(handler)] {
+    return std::make_unique<WireServerCodec>(limits, errors, handler);
+  });
 }
 
 }  // namespace declsched::net::wire

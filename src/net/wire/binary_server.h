@@ -1,83 +1,36 @@
-// Multi-reactor binary wire-protocol server with SO_REUSEPORT accept
-// sharding.
+// Binary wire-protocol server: the wire codec on the shared multi-reactor
+// connection layer (net/server.h).
 //
-// N reactor threads each own an epoll loop and a disjoint set of
-// connections. Accept sharding has two topologies:
+// Responses need no ordering — the wire protocol's request ids let
+// clients pipeline and match replies out of order, so each reply is
+// written as soon as it completes, with no head-of-line wait.
 //
-//   REUSEPORT (default): every reactor binds its own listening socket to
-//     the same port with SO_REUSEPORT, so the kernel spreads incoming
-//     connections across the reactors with no shared accept lock and no
-//     fd handoff — the scale-out path to 10k+ connections.
-//   fallback (SO_REUSEPORT unavailable, or forced for tests): reactor 0
-//     owns the single listener and hands accepted fds to the other
-//     reactors round-robin via Reactor::Post; the target reactor registers
-//     the fd on its own thread.
-//
-// Either way a connection is owned by exactly one reactor for its whole
-// life: reads, frame parsing, handler dispatch, and writes all happen on
-// that thread, so per-connection state needs no locks. Handlers answer
-// through a Responder that is safe to complete from any thread (a shard
-// worker finishing a batch); the response frame is posted back to the
-// owning reactor. Responses need no ordering — the wire protocol's
-// request ids let clients pipeline and match replies out of order.
-//
-// The server speaks the connection-level half of the protocol itself:
+// The codec speaks the connection-level half of the protocol itself:
 // HELLO handshake enforcement (magic + version, 505 on mismatch), FINISH
 // draining (reply FINISH_OK once every outstanding request on the
 // connection has been answered, then close), frame-parser errors (typed
 // ERROR frame, then close), and the global connection cap (best-effort
 // 503 ERROR frame on the fresh socket, then close). Application ops
 // (SUBMIT / STATS / EXPLAIN) go to the registered handler.
-//
-// The connection count is exact: one shared atomic maintained at
-// accept/close across all reactors, mirrored into the
-// wire_connections_open gauge, so /metrics reconciles under the
-// 10k-connection bench.
 
 #ifndef DECLSCHED_NET_WIRE_BINARY_SERVER_H_
 #define DECLSCHED_NET_WIRE_BINARY_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "common/result.h"
 #include "common/status.h"
-#include "net/reactor.h"
+#include "net/server.h"
 #include "net/wire/wire_codec.h"
-#include "observability/metrics.h"
 
 namespace declsched::net::wire {
 
-class BinaryServer {
+class BinaryServer : public Server {
  public:
-  struct Options {
-    /// Port to listen on; 0 picks an ephemeral port (read it back with
-    /// port() after Start).
-    uint16_t port = 0;
-    std::string bind_address = "127.0.0.1";
-    /// Reactor threads; each owns its connections end to end.
-    int reactor_threads = 1;
-    /// Test hook: skip SO_REUSEPORT and exercise the single-acceptor
-    /// round-robin fd-handoff fallback.
-    bool force_fallback_accept = false;
-    /// Global cap across all reactors; accepts beyond it get a
-    /// best-effort 503 ERROR frame and close.
-    int max_connections = 4096;
-    /// Slow-client budget: buffered unsent response bytes above this close
-    /// the connection.
-    size_t max_write_buffer_bytes = 256 * 1024;
-    /// How long Shutdown() waits for in-flight responders.
-    int drain_timeout_ms = 2000;
+  struct Options : Server::Options {
     FrameParser::Limits parser_limits;
-    /// Optional: wire_* metrics (per-reactor accept/bytes/frames counters,
-    /// exact open-connections gauge, frames-per-read and txns-per-submit
-    /// histograms) are registered here.
-    observability::MetricsRegistry* metrics = nullptr;
   };
 
   /// Completion handle for one request frame. Copyable; the first Send
@@ -91,12 +44,13 @@ class BinaryServer {
     /// Sends one response frame with the request's id.
     void Send(WireOp op, std::string body, uint8_t flags = 0) const;
     void SendError(const WireError& error, bool close_connection = false) const;
-    bool valid() const { return core_ != nullptr; }
+    bool valid() const { return reply_ != nullptr; }
 
    private:
-    friend class BinaryServer;
-    struct Core;
-    std::shared_ptr<Core> core_;
+    friend class WireServerCodec;
+    explicit Responder(std::shared_ptr<Reply> reply)
+        : reply_(std::move(reply)) {}
+    std::shared_ptr<Reply> reply_;
   };
 
   /// Application callback for SUBMIT / STATS / EXPLAIN frames; runs on the
@@ -104,99 +58,15 @@ class BinaryServer {
   using HandlerFn = std::function<void(WireFrame, Responder)>;
 
   explicit BinaryServer(Options options);
-  ~BinaryServer();
-
-  BinaryServer(const BinaryServer&) = delete;
-  BinaryServer& operator=(const BinaryServer&) = delete;
 
   /// Binds (one listener per reactor under REUSEPORT), listens, and starts
   /// every reactor thread.
   Status Start(HandlerFn handler);
-  /// Graceful stop; idempotent. Safe to call without Start.
-  void Shutdown();
-
-  uint16_t port() const { return port_; }
-  int reactor_threads() const { return options_.reactor_threads; }
-  /// True when accept sharding runs on SO_REUSEPORT listeners (false =
-  /// single-acceptor fd-handoff fallback).
-  bool reuseport_active() const { return reuseport_active_; }
-
-  /// Live connection count — exact: maintained atomically at accept/close
-  /// across all reactors.
-  int64_t connections() const {
-    return connection_count_.load(std::memory_order_relaxed);
-  }
-  /// Responses not yet delivered.
-  int64_t pending_responses() const {
-    return pending_responses_.load(std::memory_order_relaxed);
-  }
-  /// Connections accepted by reactor `i` (the accept-distribution view).
-  int64_t accepted_by_reactor(int i) const;
 
  private:
-  struct Connection {
-    uint64_t id = 0;
-    int fd = -1;
-    FrameParser parser;
-    bool hello_done = false;
-    bool finish_requested = false;
-    uint64_t finish_request_id = 0;
-    bool close_after_flush = false;
-    int64_t outstanding = 0;  ///< request frames not yet answered
-    std::string write_buffer;
-    bool want_writable = false;
-
-    explicit Connection(FrameParser::Limits limits) : parser(limits) {}
-  };
-
-  /// Everything one reactor owns. Only its thread touches `conns`.
-  struct Shard {
-    std::shared_ptr<Reactor> reactor;
-    int listen_fd = -1;
-    std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns;
-    observability::Counter* accepted = nullptr;
-    observability::Counter* bytes_in = nullptr;
-    observability::Counter* bytes_out = nullptr;
-    observability::Counter* frames_in = nullptr;
-    observability::Counter* frames_out = nullptr;
-    /// Accept distribution, readable off-thread (mirrors `accepted`).
-    std::atomic<int64_t> accepted_count{0};
-  };
-
-  Result<int> OpenListener(bool reuseport);
-  void DoAccept(int reactor_index);
-  void AdoptConnection(int reactor_index, int fd);
-  void OnConnectionEvent(int reactor_index, uint64_t conn_id, uint32_t events);
-  void ReadFromConnection(int reactor_index, Connection* conn);
-  /// Handles one frame; returns false when the connection was closed.
-  bool HandleFrame(int reactor_index, Connection* conn, WireFrame frame);
-  void CompleteFrame(int reactor_index, uint64_t conn_id, std::string wire,
-                     bool close_after);
-  void SendFrame(int reactor_index, Connection* conn, WireOp op, uint8_t flags,
-                 uint64_t request_id, std::string_view body);
-  void FlushConnection(int reactor_index, Connection* conn);
-  void CloseConnection(int reactor_index, uint64_t conn_id);
-  Responder MakeResponder(int reactor_index, uint64_t conn_id,
-                          uint64_t request_id);
-
-  Options options_;
-  HandlerFn handler_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  uint16_t port_ = 0;
-  bool started_ = false;
-  bool reuseport_active_ = false;
-  std::atomic<bool> shut_down_{false};
-  std::atomic<uint64_t> next_conn_id_{1};
-  std::atomic<int64_t> connection_count_{0};
-  std::atomic<int64_t> pending_responses_{0};
-  std::atomic<uint64_t> round_robin_{0};  ///< fallback handoff target
-
-  // Registered iff options_.metrics != nullptr (global, unlabeled).
-  observability::Counter* rejected_total_ = nullptr;
+  FrameParser::Limits parser_limits_;
+  // Registered iff options.metrics != nullptr.
   observability::Counter* frame_errors_total_ = nullptr;
-  observability::Counter* slow_client_closes_total_ = nullptr;
-  observability::Gauge* connections_gauge_ = nullptr;
-  observability::HistogramMetric* frames_per_read_ = nullptr;
 };
 
 }  // namespace declsched::net::wire

@@ -233,7 +233,8 @@ uint64_t Wal::Append(uint8_t type, uint16_t shard, std::string_view payload) {
     *b++ = '\0';  // reserved
     *b++ = static_cast<char>(shard & 0xff);
     *b++ = static_cast<char>((shard >> 8) & 0xff);
-    std::memcpy(b, payload.data(), payload.size());
+    // An empty payload may have a null data(); memcpy must not see it.
+    if (!payload.empty()) std::memcpy(b, payload.data(), payload.size());
     const uint32_t crc = Crc32(base + kHeaderSize, body_len);
     PutFixed32Raw(PutFixed32Raw(base, static_cast<uint32_t>(body_len)), crc);
     ++buffered_records_;

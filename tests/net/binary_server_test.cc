@@ -8,9 +8,6 @@
 
 #include "net/wire/binary_server.h"
 
-#include <poll.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <map>
@@ -29,74 +26,10 @@
 namespace declsched::net {
 namespace {
 
+using testing::WireClient;
 using wire::AppendFrame;
-using wire::FrameParser;
 using wire::WireFrame;
 using wire::WireOp;
-
-/// Blocking wire-protocol client for tests: send frames, pull replies.
-class WireClient {
- public:
-  explicit WireClient(uint16_t port) : tcp_(port) {}
-
-  bool connected() const { return tcp_.connected(); }
-
-  void SendFrame(WireOp op, uint64_t request_id, const std::string& body,
-                 uint8_t flags = 0) {
-    std::string wire;
-    AppendFrame(&wire, op, flags, request_id, body);
-    tcp_.SendRaw(wire);
-  }
-
-  /// Sends arbitrary bytes — corruption tests bypass the encoder.
-  void SendRaw(const std::string& wire) { tcp_.SendRaw(wire); }
-
-  /// Performs the handshake and checks the HELLO_OK reply.
-  void Hello() {
-    SendFrame(WireOp::kHello, 0, wire::EncodeHelloBody());
-    const WireFrame reply = ReadFrame();
-    ASSERT_EQ(reply.op, WireOp::kHelloOk);
-  }
-
-  /// Reads one complete frame (blocking; fails the test on close/garbage).
-  WireFrame ReadFrame() {
-    WireFrame frame;
-    char buf[16 * 1024];
-    while (true) {
-      const FrameParser::Outcome outcome = parser_.Next(&frame);
-      if (outcome == FrameParser::Outcome::kFrame) return frame;
-      EXPECT_NE(outcome, FrameParser::Outcome::kError)
-          << parser_.error_message();
-      if (outcome == FrameParser::Outcome::kError) return frame;
-      const ssize_t n = ::read(fd(), buf, sizeof(buf));
-      EXPECT_GT(n, 0) << "peer closed mid-frame";
-      if (n <= 0) return frame;
-      parser_.Feed(std::string_view(buf, static_cast<size_t>(n)));
-    }
-  }
-
-  /// True when the peer has closed the connection (EOF within timeout).
-  bool WaitForClose(int timeout_ms = 2000) {
-    pollfd pfd{fd(), POLLIN, 0};
-    char buf[1024];
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (::poll(&pfd, 1, 50) <= 0) continue;
-      const ssize_t n = ::read(fd(), buf, sizeof(buf));
-      if (n == 0) return true;
-      if (n < 0) return true;
-      parser_.Feed(std::string_view(buf, static_cast<size_t>(n)));
-    }
-    return false;
-  }
-
- private:
-  int fd() const { return tcp_.fd(); }
-
-  testing::TestClient tcp_;
-  FrameParser parser_;
-};
 
 FrontDoor::Options BaseOptions(int reactors = 1) {
   FrontDoor::Options options;

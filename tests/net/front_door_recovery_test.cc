@@ -1,35 +1,25 @@
-// Front-door recovery mode over a real socket: while Init() replays the
-// log the server is up but answers 503 "recovering" (with Retry-After) to
-// everything except /metrics, then flips atomically to ready; and a
-// graceful Shutdown() writes a clean-shutdown checkpoint so the next start
-// replays nothing.
+// Front-door recovery mode over real sockets: while Init() replays the
+// log the servers are up but answer 503 "recovering" (with Retry-After) to
+// everything except /metrics, on both transports, then flip atomically to
+// ready; and a graceful Shutdown() writes a clean-shutdown checkpoint so
+// the next start replays nothing.
 
 #include "net/front_door.h"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <memory>
 #include <string>
 
 #include "gtest/gtest.h"
 #include "net/net_test_util.h"
 #include "scheduler/protocol_library.h"
+#include "test_util.h"
 
 namespace declsched::net {
 namespace {
 
+using ::declsched::testing::ScopedTempDir;
 using testing::TestClient;
-
-std::string MakeTempDir() {
-  static std::atomic<int> counter{0};
-  std::string dir =
-      "front_door_recovery_test_tmp_" + std::to_string(::getpid()) + "_" +
-      std::to_string(counter.fetch_add(1));
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
+using testing::WireClient;
 
 FrontDoor::Options DurableOptions(const std::string& dir) {
   FrontDoor::Options options;
@@ -42,10 +32,11 @@ FrontDoor::Options DurableOptions(const std::string& dir) {
 }
 
 TEST(FrontDoorRecoveryTest, RecoveringModeGates503ThenFlipsToReady) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("front_door_recovery_test");
   FrontDoor::Options options = DurableOptions(dir);
-  // The barrier runs inside Start() after the HTTP server is listening but
-  // before recovery — the exact window clients can observe on a restart.
+  options.binary = wire::BinaryServer::Options{};
+  // The barrier runs inside Start() as soon as the listeners are up, before
+  // recovery — the exact window clients can observe on a restart.
   bool probed = false;
   FrontDoor* door_ptr = nullptr;
   options.recovery_barrier_for_test = [&]() {
@@ -61,6 +52,20 @@ TEST(FrontDoorRecoveryTest, RecoveringModeGates503ThenFlipsToReady) {
     ASSERT_NE(submit.Header("Retry-After"), nullptr);
     // Metrics stay scrapeable during replay.
     EXPECT_EQ(client.Get("/metrics").status, 200);
+    // The wire transport is gated the same way: a typed 503 ERROR frame.
+    WireClient wire_client(door_ptr->binary_port());
+    wire_client.Hello();
+    wire::WireSubmit batch;
+    batch.txns.push_back(wire::WireTxn{{wire::WireOpEntry{true, 1}}});
+    wire_client.SendFrame(wire::WireOp::kSubmit, 5,
+                          wire::EncodeSubmitBody(batch));
+    const wire::WireFrame reply = wire_client.ReadFrame();
+    EXPECT_EQ(reply.op, wire::WireOp::kError);
+    EXPECT_EQ(reply.request_id, 5u);
+    wire::WireError error;
+    ASSERT_TRUE(wire::DecodeErrorBody(reply.body, &error).ok());
+    EXPECT_EQ(error.code, 503);
+    EXPECT_GT(error.retry_after_seconds, 0);
     probed = true;
   };
   FrontDoor door(std::move(options));
@@ -78,7 +83,7 @@ TEST(FrontDoorRecoveryTest, RecoveringModeGates503ThenFlipsToReady) {
 }
 
 TEST(FrontDoorRecoveryTest, CleanShutdownCheckpointSkipsReplayOnRestart) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("front_door_recovery_test");
   {
     FrontDoor door(DurableOptions(dir));
     ASSERT_TRUE(door.Start().ok());
@@ -106,7 +111,7 @@ TEST(FrontDoorRecoveryTest, CleanShutdownCheckpointSkipsReplayOnRestart) {
 }
 
 TEST(FrontDoorRecoveryTest, DirtyRestartReplaysAndResumesTransactionIds) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("front_door_recovery_test");
   {
     // Crash-style first run: a bare durable scheduler (FrontDoor's own
     // teardown always checkpoints — a real crash does not). The WAL on

@@ -1,6 +1,6 @@
 // HttpServer behavior over real loopback sockets: pipelined response
 // ordering, deferred responders, parser-error responses, the connection
-// cap, and dropped-responder recovery.
+// cap, the exact connection gauge, and dropped-responder recovery.
 
 #include "net/http_server.h"
 
@@ -13,6 +13,7 @@
 
 #include "gtest/gtest.h"
 #include "net/net_test_util.h"
+#include "observability/metrics.h"
 
 namespace declsched::net {
 namespace {
@@ -182,6 +183,38 @@ TEST(HttpServerTest, ManyConcurrentConnections) {
   }
   EXPECT_EQ(handled.load(), kConns);
   EXPECT_EQ(server.connections(), kConns);
+  server.Shutdown();
+}
+
+TEST(HttpServerTest, ConnectionGaugeIsExact) {
+  observability::MetricsRegistry metrics;
+  HttpServer::Options options;
+  options.metrics = &metrics;
+  HttpServer server(options);
+  ASSERT_TRUE(server
+                  .Start([](HttpRequest, HttpServer::Responder responder) {
+                    responder.Send(HttpResponse::Json(200, "{}"));
+                  })
+                  .ok());
+  {
+    std::vector<std::unique_ptr<TestClient>> clients;
+    for (int i = 0; i < 8; ++i) {
+      clients.push_back(std::make_unique<TestClient>(server.port()));
+      // One exchange per socket: the server has adopted it by the reply.
+      EXPECT_EQ(clients.back()->Get("/g").status, 200);
+    }
+    EXPECT_EQ(server.connections(), 8);
+    EXPECT_EQ(metrics.Value("net_connections_open"), 8);
+  }
+  // All clients closed: the gauge must return to exactly zero.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.connections() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server.connections(), 0);
+  EXPECT_EQ(metrics.Value("net_connections_open"), 0);
   server.Shutdown();
 }
 

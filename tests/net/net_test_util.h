@@ -1,6 +1,7 @@
-// Test-side blocking HTTP client: one keep-alive connection to a local
-// port, synchronous request/response. Small on purpose — the production
-// client half (nonblocking, multiplexed) lives in src/net/loadgen.cc.
+// Test-side blocking clients: one keep-alive connection to a local port,
+// synchronous request/response, over HTTP (TestClient) or the binary wire
+// protocol (WireClient). Small on purpose — the production client half
+// (nonblocking, multiplexed) lives in src/net/loadgen.cc.
 
 #ifndef DECLSCHED_TESTS_NET_NET_TEST_UTIL_H_
 #define DECLSCHED_TESTS_NET_NET_TEST_UTIL_H_
@@ -8,13 +9,16 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
 
 #include "gtest/gtest.h"
 #include "net/http.h"
+#include "net/wire/wire_codec.h"
 
 namespace declsched::net::testing {
 
@@ -96,6 +100,70 @@ class TestClient {
   int fd_ = -1;
   bool connected_ = false;
   HttpResponseParser parser_;
+};
+
+/// Blocking wire-protocol client for tests: send frames, pull replies.
+class WireClient {
+ public:
+  explicit WireClient(uint16_t port) : tcp_(port) {}
+
+  bool connected() const { return tcp_.connected(); }
+
+  void SendFrame(wire::WireOp op, uint64_t request_id, const std::string& body,
+                 uint8_t flags = 0) {
+    std::string wire;
+    wire::AppendFrame(&wire, op, flags, request_id, body);
+    tcp_.SendRaw(wire);
+  }
+
+  /// Sends arbitrary bytes — corruption tests bypass the encoder.
+  void SendRaw(const std::string& wire) { tcp_.SendRaw(wire); }
+
+  /// Performs the handshake and checks the HELLO_OK reply.
+  void Hello() {
+    SendFrame(wire::WireOp::kHello, 0, wire::EncodeHelloBody());
+    const wire::WireFrame reply = ReadFrame();
+    ASSERT_EQ(reply.op, wire::WireOp::kHelloOk);
+  }
+
+  /// Reads one complete frame (blocking; fails the test on close/garbage).
+  wire::WireFrame ReadFrame() {
+    wire::WireFrame frame;
+    char buf[16 * 1024];
+    while (true) {
+      const wire::FrameParser::Outcome outcome = parser_.Next(&frame);
+      if (outcome == wire::FrameParser::Outcome::kFrame) return frame;
+      EXPECT_NE(outcome, wire::FrameParser::Outcome::kError)
+          << parser_.error_message();
+      if (outcome == wire::FrameParser::Outcome::kError) return frame;
+      const ssize_t n = ::read(fd(), buf, sizeof(buf));
+      EXPECT_GT(n, 0) << "peer closed mid-frame";
+      if (n <= 0) return frame;
+      parser_.Feed(std::string_view(buf, static_cast<size_t>(n)));
+    }
+  }
+
+  /// True when the peer has closed the connection (EOF within timeout).
+  bool WaitForClose(int timeout_ms = 2000) {
+    pollfd pfd{fd(), POLLIN, 0};
+    char buf[1024];
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (::poll(&pfd, 1, 50) <= 0) continue;
+      const ssize_t n = ::read(fd(), buf, sizeof(buf));
+      if (n == 0) return true;
+      if (n < 0) return true;
+      parser_.Feed(std::string_view(buf, static_cast<size_t>(n)));
+    }
+    return false;
+  }
+
+ private:
+  int fd() const { return tcp_.fd(); }
+
+  TestClient tcp_;
+  wire::FrameParser parser_;
 };
 
 }  // namespace declsched::net::testing

@@ -25,7 +25,6 @@
 // the hook-based harness tests below still run.
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -45,6 +44,7 @@
 #include "scheduler/protocol_library.h"
 #include "scheduler/sharded_scheduler.h"
 #include "storage/wal.h"
+#include "test_util.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define DECLSCHED_TSAN 1
@@ -56,6 +56,8 @@
 
 namespace declsched::scheduler {
 namespace {
+
+using ::declsched::testing::ScopedTempDir;
 
 constexpr int kShards = 2;
 constexpr int kObjects = 12;
@@ -73,15 +75,6 @@ const char* const kCrashPoints[] = {
     "snapshot:pre-rename",
     "snapshot:post-rename-pre-truncate",
 };
-
-std::string MakeTempDir() {
-  static std::atomic<int> counter{0};
-  std::string dir =
-      "crash_recovery_test_tmp_" + std::to_string(::getpid()) + "_" +
-      std::to_string(counter.fetch_add(1));
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 Request Op(txn::TxnId ta, int64_t intrata, txn::OpType op, int64_t object) {
   Request r;
@@ -464,7 +457,7 @@ int RunChildTrial(const std::string& dir, uint64_t seed, const char* point,
 
 TEST(CrashRecoveryPropertyTest, NoCrashPointRunsCleanly) {
   const uint64_t seed = 4242;
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("crash_recovery_test");
   const int code = RunChildTrial(dir, seed, nullptr, 0);
   ASSERT_EQ(code, 0);
   const auto workload = MakeWorkload(seed);
@@ -485,7 +478,7 @@ TEST(CrashRecoveryPropertyTest, EveryCrashPointEverySeed) {
       const std::string trial =
           std::string(point) + "/seed" + std::to_string(seed);
       SCOPED_TRACE(trial);
-      const std::string dir = MakeTempDir();
+      const ScopedTempDir dir("crash_recovery_test");
       const int code = RunChildTrial(dir, seed, point, kNth[si]);
       ASSERT_TRUE(code == 0 || code == kCrashPointExitCode)
           << trial << ": child exit " << code;
@@ -511,7 +504,7 @@ TEST(CrashRecoveryPropertyTest, SkippedUnderTsan) {
 // --- crash-point harness itself (runs everywhere, incl. TSan) ---------------
 
 TEST(CrashPointHarnessTest, HookObservesArmedPointWithoutDying) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("crash_recovery_test");
   std::atomic<int> hits{0};
   SetCrashPointHook([&hits](const char*) { hits.fetch_add(1); });
   ArmCrashPoint("wal:post-fsync", 1);

@@ -6,9 +6,7 @@
 #include "scheduler/durability.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
-#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
@@ -21,18 +19,12 @@
 #include "storage/recovery.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
+#include "test_util.h"
 
 namespace declsched::scheduler {
 namespace {
 
-std::string MakeTempDir() {
-  static std::atomic<int> counter{0};
-  std::string dir =
-      "durability_test_tmp_" + std::to_string(::getpid()) + "_" +
-      std::to_string(counter.fetch_add(1));
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
+using ::declsched::testing::ScopedTempDir;
 
 Request Op(int64_t id, txn::TxnId ta, int64_t intrata, txn::OpType op,
            int64_t object) {
@@ -125,7 +117,7 @@ TEST(DurabilityCodecTest, TenantAndFanoutRoundtrip) {
 // --- store-level log + replay ----------------------------------------------
 
 TEST(DurabilityStoreTest, ReplayedLogReproducesStoreState) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("durability_test");
   RequestStore logged;
   {
     storage::Wal::Options options;
@@ -187,7 +179,7 @@ TEST(DurabilityStoreTest, SnapshotRestoreReproducesStoreState) {
 }
 
 TEST(DurabilityStoreTest, ReplayAgainstWalAttachedStoreRefuses) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("durability_test");
   storage::Wal::Options options;
   options.path = storage::WalPath(dir);
   auto wal = storage::Wal::Open(options, 1);
@@ -229,7 +221,7 @@ void RunTxn(ShardedScheduler* sched, txn::TxnId ta,
 }
 
 TEST(DurabilityShardedTest, RecoverReproducesStateAndKeepsWorking) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("durability_test");
   std::vector<std::vector<std::string>> pre_crash;
   {
     auto sched = std::make_unique<ShardedScheduler>(DurableOptions(dir, 2),
@@ -271,7 +263,7 @@ TEST(DurabilityShardedTest, RecoverReproducesStateAndKeepsWorking) {
 }
 
 TEST(DurabilityShardedTest, CheckpointMakesNextRecoveryReplayNothing) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("durability_test");
   std::vector<std::vector<std::string>> pre;
   {
     auto sched = std::make_unique<ShardedScheduler>(DurableOptions(dir, 2),
@@ -298,7 +290,7 @@ TEST(DurabilityShardedTest, CheckpointMakesNextRecoveryReplayNothing) {
 }
 
 TEST(DurabilityShardedTest, RecoveredIdsDoNotCollide) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("durability_test");
   {
     auto sched = std::make_unique<ShardedScheduler>(DurableOptions(dir, 1),
                                                     nullptr);
@@ -332,8 +324,8 @@ TEST(DurabilityShardedTest, EscrowFanoutRepublishedOnRecovery) {
   }
   ASSERT_GE(object_on_1, 0);
 
-  const std::string dir = MakeTempDir();
-  ASSERT_EQ(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST, true);
+  const ScopedTempDir dir("durability_test");
+  ASSERT_EQ(::mkdir(dir.path().c_str(), 0755) == 0 || errno == EEXIST, true);
   {
     storage::Wal::Options options;
     options.path = storage::WalPath(dir);
@@ -372,7 +364,7 @@ TEST(DurabilityShardedTest, EscrowFanoutRepublishedOnRecovery) {
 }
 
 TEST(DurabilityShardedTest, SyncDispatchWalMakesCycleDurableBeforeDispatch) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("durability_test");
   ShardedScheduler::Options options = DurableOptions(dir, 1);
   options.shard.sync_dispatch_wal = true;
   options.keep_dispatch_log = true;

@@ -5,9 +5,7 @@
 #include "storage/snapshot.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
-#include <atomic>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -15,18 +13,12 @@
 #include "gtest/gtest.h"
 #include "storage/recovery.h"
 #include "storage/wal.h"
+#include "test_util.h"
 
 namespace declsched::storage {
 namespace {
 
-std::string MakeTempDir() {
-  static std::atomic<int> counter{0};
-  std::string dir =
-      "snapshot_test_tmp_" + std::to_string(::getpid()) + "_" +
-      std::to_string(counter.fetch_add(1));
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
+using ::declsched::testing::ScopedTempDir;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -61,7 +53,7 @@ SnapshotData SampleData() {
 }
 
 TEST(SnapshotTest, WriteReadRoundtrip) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("snapshot_test");
   ASSERT_TRUE(WriteSnapshot(dir, SampleData()).ok());
   auto loaded = ReadSnapshot(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -83,14 +75,14 @@ TEST(SnapshotTest, WriteReadRoundtrip) {
 }
 
 TEST(SnapshotTest, MissingSnapshotIsNotFound) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("snapshot_test");
   auto loaded = ReadSnapshot(dir);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 TEST(SnapshotTest, CorruptBodyIsLoudlyRejected) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("snapshot_test");
   ASSERT_TRUE(WriteSnapshot(dir, SampleData()).ok());
   std::string bytes = ReadFile(SnapshotPath(dir));
   bytes[bytes.size() / 2] ^= 0x01;  // flip one body bit
@@ -101,7 +93,7 @@ TEST(SnapshotTest, CorruptBodyIsLoudlyRejected) {
 }
 
 TEST(SnapshotTest, ShortHeaderIsLoudlyRejected) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("snapshot_test");
   WriteFile(SnapshotPath(dir), "DSSNAP1");  // shorter than the header
   auto loaded = ReadSnapshot(dir);
   ASSERT_FALSE(loaded.ok());
@@ -109,7 +101,7 @@ TEST(SnapshotTest, ShortHeaderIsLoudlyRejected) {
 }
 
 TEST(SnapshotTest, BadMagicIsLoudlyRejected) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("snapshot_test");
   ASSERT_TRUE(WriteSnapshot(dir, SampleData()).ok());
   std::string bytes = ReadFile(SnapshotPath(dir));
   bytes[0] = 'X';
@@ -142,7 +134,7 @@ Result<RecoveryResult> Recover(const std::string& dir, int num_shards,
 }
 
 TEST(RecoveryTest, FreshDirectoryRecoversEmpty) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("snapshot_test");
   Replayed seen;
   auto result = Recover(dir, 2, &seen);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -153,7 +145,7 @@ TEST(RecoveryTest, FreshDirectoryRecoversEmpty) {
 }
 
 TEST(RecoveryTest, SkipsRecordsCoveredBySnapshot) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("snapshot_test");
   {
     Wal::Options options;
     options.path = WalPath(dir);
@@ -179,7 +171,7 @@ TEST(RecoveryTest, SkipsRecordsCoveredBySnapshot) {
 }
 
 TEST(RecoveryTest, TruncatesTornTailOnDisk) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("snapshot_test");
   {
     Wal::Options options;
     options.path = WalPath(dir);
@@ -208,7 +200,7 @@ TEST(RecoveryTest, TruncatesTornTailOnDisk) {
 }
 
 TEST(RecoveryTest, StaleTmpSnapshotIsRemoved) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("snapshot_test");
   WriteFile(SnapshotTmpPath(dir), "half-written garbage");
   Replayed seen;
   auto result = Recover(dir, 1, &seen);
@@ -219,7 +211,7 @@ TEST(RecoveryTest, StaleTmpSnapshotIsRemoved) {
 }
 
 TEST(RecoveryTest, ShardCountMismatchRefusesToRecover) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("snapshot_test");
   SnapshotData data;
   data.last_lsn = 1;
   data.shards.resize(4);

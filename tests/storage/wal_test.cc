@@ -7,7 +7,6 @@
 #include <sys/stat.h>
 
 #include "storage/snapshot.h"  // WalPath
-#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -17,19 +16,12 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace declsched::storage {
 namespace {
 
-/// Fresh scratch directory under the test's working directory.
-std::string MakeTempDir() {
-  static std::atomic<int> counter{0};
-  std::string dir =
-      "wal_test_tmp_" + std::to_string(::getpid()) + "_" +
-      std::to_string(counter.fetch_add(1));
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
+using ::declsched::testing::ScopedTempDir;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -85,7 +77,7 @@ TEST(WalTest, Crc32MatchesCheckVectorAndHardwarePath) {
 }
 
 TEST(WalTest, AppendScanRoundtrip) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("wal_test");
   auto wal = OpenAt(dir);
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   Wal* w = wal.ValueOrDie().get();
@@ -112,7 +104,7 @@ TEST(WalTest, AppendScanRoundtrip) {
 }
 
 TEST(WalTest, GroupCommitBatchesFsyncs) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("wal_test");
   auto wal = OpenAt(dir);
   ASSERT_TRUE(wal.ok());
   Wal* w = wal.ValueOrDie().get();
@@ -134,7 +126,7 @@ TEST(WalTest, GroupCommitBatchesFsyncs) {
 }
 
 TEST(WalTest, SyncAndWhenDurable) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("wal_test");
   auto wal = OpenAt(dir);
   ASSERT_TRUE(wal.ok());
   Wal* w = wal.ValueOrDie().get();
@@ -156,7 +148,7 @@ TEST(WalTest, SyncAndWhenDurable) {
 }
 
 TEST(WalTest, RotateTruncatesAndLsnsContinue) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("wal_test");
   auto wal = OpenAt(dir);
   ASSERT_TRUE(wal.ok());
   Wal* w = wal.ValueOrDie().get();
@@ -175,7 +167,7 @@ TEST(WalTest, RotateTruncatesAndLsnsContinue) {
 }
 
 TEST(WalTest, ReopenContinuesSequence) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("wal_test");
   {
     auto wal = OpenAt(dir);
     ASSERT_TRUE(wal.ok());
@@ -196,7 +188,7 @@ TEST(WalTest, ReopenContinuesSequence) {
 }
 
 TEST(WalTest, MissingFileScansEmpty) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("wal_test");
   WalScanStats stats;
   std::vector<WalRecord> records = ScanAll(dir, &stats);
   EXPECT_TRUE(records.empty());
@@ -205,7 +197,7 @@ TEST(WalTest, MissingFileScansEmpty) {
 }
 
 TEST(WalTest, EmptyFileScansEmpty) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("wal_test");
   WriteFile(WalPath(dir), "");
   WalScanStats stats;
   std::vector<WalRecord> records = ScanAll(dir, &stats);
@@ -224,7 +216,7 @@ std::string TwoRecordLog(const std::string& dir) {
 }
 
 TEST(WalTest, TornHeaderStopsCleanly) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("wal_test");
   std::string bytes = TwoRecordLog(dir);
   WriteFile(WalPath(dir), bytes + std::string("\x05\x00", 2));  // half a header
   WalScanStats stats;
@@ -236,7 +228,7 @@ TEST(WalTest, TornHeaderStopsCleanly) {
 }
 
 TEST(WalTest, TornPayloadStopsCleanly) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("wal_test");
   std::string bytes = TwoRecordLog(dir);
   // Cut the last record's body short (drop 5 trailing bytes).
   WriteFile(WalPath(dir), bytes.substr(0, bytes.size() - 5));
@@ -249,7 +241,7 @@ TEST(WalTest, TornPayloadStopsCleanly) {
 }
 
 TEST(WalTest, BitFlippedCrcStopsCleanly) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("wal_test");
   std::string bytes = TwoRecordLog(dir);
   bytes[bytes.size() - 3] ^= 0x40;  // flip a bit in the last record's body
   WriteFile(WalPath(dir), bytes);
@@ -261,7 +253,7 @@ TEST(WalTest, BitFlippedCrcStopsCleanly) {
 }
 
 TEST(WalTest, BadLengthStopsCleanly) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("wal_test");
   std::string bytes = TwoRecordLog(dir);
   // An intact-looking header whose body_len is impossible (< 12).
   WriteFile(WalPath(dir),
@@ -274,7 +266,7 @@ TEST(WalTest, BadLengthStopsCleanly) {
 }
 
 TEST(WalTest, TruncateTailMakesLogCleanAgain) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("wal_test");
   std::string bytes = TwoRecordLog(dir);
   WriteFile(WalPath(dir), bytes.substr(0, bytes.size() - 5));
   WalScanStats stats;
@@ -295,7 +287,7 @@ TEST(WalTest, TruncateTailMakesLogCleanAgain) {
 }
 
 TEST(WalTest, TornMagicReinitializedOnOpen) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir dir("wal_test");
   WriteFile(WalPath(dir), "DSW");  // creation died mid-magic
   auto wal = OpenAt(dir);
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();

@@ -3,8 +3,13 @@
 #ifndef DECLSCHED_TESTS_TEST_UTIL_H_
 #define DECLSCHED_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -12,6 +17,31 @@
 #include "storage/catalog.h"
 
 namespace declsched::testing {
+
+/// A fresh directory in the working directory, named `<prefix>_tmp_<pid>_<n>`
+/// and removed with everything in it when this goes out of scope. Converts
+/// to its path, so it passes wherever a directory string is expected.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& prefix) {
+    static std::atomic<int> counter{0};
+    path_ = prefix + "_tmp_" + std::to_string(::getpid()) + "_" +
+            std::to_string(counter.fetch_add(1));
+    std::filesystem::create_directory(path_);
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  operator const std::string&() const { return path_; }  // NOLINT
+
+ private:
+  std::string path_;
+};
 
 /// Renders each result row as "v1|v2|..." and sorts, for order-insensitive
 /// comparison.
