@@ -13,14 +13,16 @@
 // Every phase of every cycle is timed with a real (wall) clock, since the
 // scheduler's own cost is exactly what Section 4.3 measures.
 //
-// Thread ownership: one thread — the cycle thread — owns RunCycle,
-// SwitchProtocol, ApplyEscrowedFinisher, store() mutation, and every
-// accessor not documented otherwise. Admission (Submit/SubmitRouted) is
+// Thread ownership: one thread at a time — the cycle thread — owns
+// RunCycle, SwitchProtocol, ApplyEscrowedFinisher, store() mutation, and
+// every accessor not documented otherwise; ownership may pass between
+// threads only through a lock handoff. Admission (Submit/SubmitRouted) is
 // the one concurrent entry point: it touches only the thread-safe incoming
 // queue (plus, for Submit, the id counter — so preassign ids via
 // SubmitRouted when submitting from multiple threads). This is the
 // contract the sharded scheduler builds on (one DeclarativeScheduler per
-// shard, one worker thread each); see docs/ARCHITECTURE.md. Epoch
+// shard, run by whichever worker holds the shard's claim); see
+// docs/ARCHITECTURE.md. Epoch
 // invariant: every store mutation RunCycle makes bumps the store's
 // pending/history epoch exactly once and is narrated through exactly one
 // protocol hook immediately after — the handshake incremental backends

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <unordered_map>
+#include <utility>
 
 #include "common/crashpoint.h"
 #include "common/logging.h"
@@ -23,11 +25,12 @@ int64_t NowMicros() {
       .count();
 }
 
-// For busy/coordination accounting: CPU consumed by the calling thread.
-// Unlike wall time, this does not charge a shard for the WAL flusher (or a
-// neighboring shard, on a machine with fewer cores than threads) preempting
-// it mid-cycle — those cycles belong to the preempting thread. Keeps the
-// speedup/cost projections meaningful on small CI machines.
+// For busy accounting: CPU consumed by the calling thread. Unlike wall
+// time, this does not charge a shard for the WAL flusher (or a neighboring
+// shard, on a machine with fewer cores than threads) preempting it
+// mid-cycle — those cycles belong to the preempting thread. Keeps the
+// speedup/cost projections meaningful on small CI machines. A syscall, so
+// read once per claim, not per pass; back-to-back claims share a reading.
 int64_t ThreadCpuMicros() {
   timespec ts;
   if (::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
@@ -37,6 +40,19 @@ int64_t ThreadCpuMicros() {
 bool IsFinisher(txn::OpType op) {
   return op == txn::OpType::kCommit || op == txn::OpType::kAbort;
 }
+
+// Passes one claim may run before it lets go: bounds how long a shard's own
+// worker (or a driven shard's owner) waits behind a claim holder.
+constexpr int kClaimPasses = 8;
+
+// The shard worker running on this thread, if any: the scheduler it belongs
+// to (tests run several in one process) and the shards its claims made
+// runnable, one bit per shard, which it drives once its claim is released.
+struct WorkerThread {
+  const ShardedScheduler* sched = nullptr;
+  uint32_t to_drive = 0;
+};
+thread_local WorkerThread tls_worker;
 
 }  // namespace
 
@@ -71,6 +87,10 @@ ShardedScheduler::ShardedScheduler(Options options,
       m_cycle_us_.push_back(
           m->GetHistogram("sched_cycle_us", "Cycle wall time per shard",
                           {{"shard", std::to_string(i)}}));
+      m_wakeups_.push_back(
+          m->GetCounter("sched_worker_wakeups_total",
+                        "Times the shard's parked worker was woken",
+                        {{"shard", std::to_string(i)}}));
     }
     if (options_.durability.enabled) {
       m_snapshot_lsn_ = m->GetGauge("snapshot_last_lsn",
@@ -299,13 +319,84 @@ void ShardedScheduler::MarkDirty(int s) {
   {
     std::lock_guard<std::mutex> lock(sh.wake_mu);
     sh.dirty = true;
+    // The claim holder re-checks `dirty` before it lets go.
+    if (sh.running) return;
+    if (tls_worker.sched == this) {
+      // Follow the work instead of waking another worker: this thread
+      // claims the shard itself once its current claim is released. Never
+      // here — callers of Submit may hold locks (FrontDoor::OnDispatch).
+      tls_worker.to_drive |= 1u << s;
+      return;
+    }
+    if (!sh.parked) return;  // the worker re-checks before it parks
+    UnparkLocked(s);
   }
-  sh.wake_cv.notify_all();
+  sh.wake_cv.notify_one();
+}
+
+void ShardedScheduler::UnparkLocked(int s) {
+  shards_[s]->parked = false;
+  if (!m_wakeups_.empty()) m_wakeups_[static_cast<size_t>(s)]->Increment();
+}
+
+bool ShardedScheduler::TryClaim(int s) {
+  Shard& sh = *shards_[s];
+  std::lock_guard<std::mutex> lock(sh.wake_mu);
+  if (!sh.dirty || sh.running || stop_.load(std::memory_order_acquire)) {
+    return false;
+  }
+  sh.running = true;
+  claims_.fetch_add(1);
+  return true;
+}
+
+void ShardedScheduler::RunClaimed(int s, int64_t* cpu_us) {
+  Shard& sh = *shards_[s];
+  for (int pass = 0; pass < kClaimPasses; ++pass) {
+    {
+      std::lock_guard<std::mutex> lock(sh.wake_mu);
+      if (!sh.dirty || stop_.load(std::memory_order_acquire)) break;
+      sh.dirty = false;
+    }
+    const Result<bool> ran = RunShardOnce(s, /*dirty=*/true, Now());
+    // Fatal: a shard that stops cycling keeps admitting requests that
+    // never dispatch. The WAL makes a crash recoverable; a wedge is not.
+    if (!ran.ok()) {
+      std::fprintf(stderr, "shard %d cycle failed: %s\n", s,
+                   ran.status().ToString().c_str());
+      DS_CHECK(ran.ok());
+    }
+  }
+  const int64_t now_cpu_us = ThreadCpuMicros();
+  sh.busy_us.fetch_add(now_cpu_us - *cpu_us, std::memory_order_relaxed);
+  *cpu_us = now_cpu_us;
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(sh.wake_mu);
+    sh.running = false;
+    // Still runnable (budget spent, or a MarkDirty landed during the
+    // claim): hand it back to its worker. An unparked owner re-checks.
+    if (sh.dirty && sh.parked) {
+      UnparkLocked(s);
+      wake = true;
+    }
+  }
+  if (wake) sh.wake_cv.notify_one();
+}
+
+void ShardedScheduler::DriveRecorded(int own, int64_t* cpu_us) {
+  while (tls_worker.to_drive != 0) {
+    // The own shard rides along each round, so work a reactor admitted
+    // there meanwhile does not wait for the whole chain to end.
+    uint32_t mask = std::exchange(tls_worker.to_drive, 0) | 1u << own;
+    for (int t = 0; mask != 0; ++t, mask >>= 1) {
+      if ((mask & 1u) && TryClaim(t)) RunClaimed(t, cpu_us);
+    }
+  }
 }
 
 int64_t ShardedScheduler::Submit(Request request, SimTime now) {
   DS_CHECK(initialized_);
-  const int64_t t0 = ThreadCpuMicros();
   request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   request.arrival = now;
   // Advance the shared cycle clock (max, monotone).
@@ -345,7 +436,6 @@ int64_t ShardedScheduler::Submit(Request request, SimTime now) {
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
   if (m_submitted_ != nullptr) m_submitted_->Increment();
-  coordination_us_.fetch_add(ThreadCpuMicros() - t0, std::memory_order_relaxed);
   return request.id;
 }
 
@@ -447,24 +537,18 @@ Status ShardedScheduler::ProcessDispatched(int s, const RequestBatch& batch) {
   return Status::OK();
 }
 
-Result<bool> ShardedScheduler::RunShardOnce(int s, SimTime now) {
+Result<bool> ShardedScheduler::RunShardOnce(int s, bool dirty, SimTime now) {
   Shard& sh = *shards_[s];
-  const int64_t t0 = ThreadCpuMicros();
 
-  // Order matters: consume the wake flag BEFORE draining the mirror inbox.
-  // A mirror published after the consume leaves the flag set for the next
-  // pass; a mirror published before it is drained below and forces a cycle
-  // via `applied`. Draining first would allow a mirror to slip in between
-  // drain and consume — the cycle would then run without the marker in the
-  // store, dispatch nothing, and eat the only wakeup (a permanent stall).
-  bool runnable;
-  {
-    std::lock_guard<std::mutex> lock(sh.wake_mu);
-    runnable = sh.dirty;
-    sh.dirty = false;
-  }
+  // Order matters: the caller consumed the wake flag BEFORE this drains the
+  // mirror inbox. A mirror published after the consume leaves the flag set
+  // for the next pass; a mirror published before it is drained below and
+  // forces a cycle via `applied`. Draining first would allow a mirror to
+  // slip in between drain and consume — the cycle would then run without
+  // the marker in the store, dispatch nothing, and eat the only wakeup (a
+  // permanent stall).
   const int applied = ApplyMirrors(s);
-  runnable = runnable || applied > 0;
+  const bool runnable = dirty || applied > 0;
 
   // Refresh the advisory escrow view for this shard's protocol. In the
   // common zero-escrow case skip the lock entirely; the view is advisory,
@@ -485,7 +569,6 @@ Result<bool> ShardedScheduler::RunShardOnce(int s, SimTime now) {
 
   if (!runnable ||
       (sh.sched->queue_size() == 0 && sh.sched->store()->pending_count() == 0)) {
-    sh.busy_us.fetch_add(ThreadCpuMicros() - t0, std::memory_order_relaxed);
     return false;
   }
 
@@ -553,32 +636,38 @@ Result<bool> ShardedScheduler::RunShardOnce(int s, SimTime now) {
   }
 
   // Dispatches and aborts change lock state — pending requests that were
-  // blocked may now qualify, so look again. A cycle that moved nothing
-  // leaves the shard quiescent until new input arrives.
-  if (stats.dispatched > 0 || stats.victims > 0) MarkDirty(s);
-
-  sh.busy_us.fetch_add(ThreadCpuMicros() - t0, std::memory_order_relaxed);
+  // blocked may now qualify, so look again while any are left. A cycle that
+  // moved nothing, or left nothing pending, leaves the shard quiescent until
+  // new input arrives.
+  if ((stats.dispatched > 0 || stats.victims > 0) &&
+      sh.sched->store()->pending_count() > 0) {
+    MarkDirty(s);
+  }
   return true;
 }
 
 void ShardedScheduler::WorkerLoop(int s) {
   Shard& sh = *shards_[s];
-  while (!stop_.load(std::memory_order_acquire)) {
-    const Result<bool> ran = RunShardOnce(s, Now());
-    if (!ran.ok()) {
-      DS_LOG(Error) << "shard " << s
-                    << " cycle failed: " << ran.status().ToString();
-      break;
+  tls_worker = WorkerThread{this, 0};
+  while (true) {
+    {
+      std::unique_lock<std::mutex> lock(sh.wake_mu);
+      while (!stop_.load(std::memory_order_acquire) &&
+             !(sh.dirty && !sh.running)) {
+        sh.parked = true;
+        idle_cv_.notify_all();
+        sh.wake_cv.wait(lock);
+      }
+      sh.parked = false;
+      if (stop_.load(std::memory_order_acquire)) break;
+      sh.running = true;
+      claims_.fetch_add(1);
     }
-    std::unique_lock<std::mutex> lock(sh.wake_mu);
-    if (sh.dirty || stop_.load(std::memory_order_acquire)) continue;
-    sh.parked = true;
-    idle_cv_.notify_all();
-    sh.wake_cv.wait(lock, [&] {
-      return sh.dirty || stop_.load(std::memory_order_acquire);
-    });
-    sh.parked = false;
+    int64_t cpu_us = ThreadCpuMicros();
+    RunClaimed(s, &cpu_us);
+    DriveRecorded(s, &cpu_us);
   }
+  tls_worker = WorkerThread{};
   {
     std::lock_guard<std::mutex> lock(sh.wake_mu);
     sh.parked = true;
@@ -590,8 +679,14 @@ Status ShardedScheduler::StartLocked() {
   DS_CHECK(initialized_);
   if (started_) return Status::OK();
   stop_.store(false, std::memory_order_release);
+  // Reset every shard before spawning any worker: a running worker may
+  // already claim or wake another shard.
+  for (auto& sh : shards_) {
+    std::lock_guard<std::mutex> lock(sh->wake_mu);
+    DS_CHECK(!sh->running);
+    sh->parked = false;
+  }
   for (int i = 0; i < options_.num_shards; ++i) {
-    shards_[i]->parked = false;
     shards_[i]->worker = std::thread([this, i] { WorkerLoop(i); });
   }
   started_ = true;
@@ -605,9 +700,12 @@ void ShardedScheduler::StopLocked() {
     std::lock_guard<std::mutex> lock(sh->wake_mu);
     sh->wake_cv.notify_all();
   }
+  // Only workers claim shards, and a worker lets go of every claim before
+  // it exits: joining them waits for every claim to be released.
   for (auto& sh : shards_) {
     if (sh->worker.joinable()) sh->worker.join();
   }
+  for (auto& sh : shards_) DS_CHECK(!sh->running);
   started_ = false;
 }
 
@@ -709,10 +807,13 @@ bool ShardedScheduler::WaitIdle(int64_t timeout_us) {
   const int64_t deadline = NowMicros() + timeout_us;
   std::unique_lock<std::mutex> idle_lock(idle_mu_);
   while (true) {
+    // A claim taken mid-scan may have moved work onto a shard already
+    // scanned; such a scan proves nothing.
+    const uint64_t claims = claims_.load();
     bool idle = true;
     for (auto& sh : shards_) {
       std::lock_guard<std::mutex> lock(sh->wake_mu);
-      if (!sh->parked || sh->dirty) {
+      if (!sh->parked || sh->dirty || sh->running) {
         idle = false;
         break;
       }
@@ -726,7 +827,7 @@ bool ShardedScheduler::WaitIdle(int64_t timeout_us) {
         if (sh->sched->queue_size() != 0) idle = false;
       }
     }
-    if (idle) return true;
+    if (idle && claims_.load() == claims) return true;
     if (NowMicros() >= deadline) return false;
     idle_cv_.wait_for(idle_lock, std::chrono::milliseconds(1));
   }
@@ -736,7 +837,16 @@ Result<int> ShardedScheduler::StepOnce(SimTime now) {
   DS_CHECK(initialized_ && !started_);
   int ran = 0;
   for (int s = 0; s < options_.num_shards; ++s) {
-    DS_ASSIGN_OR_RETURN(const bool cycled, RunShardOnce(s, now));
+    Shard& sh = *shards_[s];
+    const int64_t t0 = ThreadCpuMicros();
+    bool dirty;
+    {
+      std::lock_guard<std::mutex> lock(sh.wake_mu);
+      dirty = sh.dirty;
+      sh.dirty = false;
+    }
+    DS_ASSIGN_OR_RETURN(const bool cycled, RunShardOnce(s, dirty, now));
+    sh.busy_us.fetch_add(ThreadCpuMicros() - t0, std::memory_order_relaxed);
     ran += cycled ? 1 : 0;
   }
   return ran;

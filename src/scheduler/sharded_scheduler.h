@@ -53,9 +53,18 @@
 // been observed dispatched. Ids are assigned globally by this class.
 //
 // Two driving modes, same per-shard logic:
-//   * threaded — Start() spawns one worker per shard; workers park when
-//     quiescent and wake on admissions/mirrors. WaitIdle() waits for
-//     global quiescence.
+//   * threaded — Start() spawns one worker per shard. A shard is a run
+//     token: its cycles run only on the thread holding its claim. Each
+//     worker parks until its own shard is runnable and unclaimed, claims
+//     it, and runs a bounded number of passes. Work a claim makes runnable
+//     on another, unclaimed shard (the next op of a transaction submitted
+//     from on_dispatch, an escrow mirror, a victim abort) is not handed to
+//     that shard's worker: once its own claim is released, the worker
+//     claims that shard and runs it itself, waking the owner only if the
+//     shard is still runnable after the pass budget. A chain of
+//     cross-shard hops thus runs on one thread without a wake-up per hop.
+//     Admissions from any other thread (reactors, tests, benches) wake the
+//     shard's parked worker. WaitIdle() waits for global quiescence.
 //   * cooperative — StepOnce()/RunUntilIdle() drive all shards on the
 //     caller's thread, deterministically (property tests; single-core
 //     speedup projection in bench_shard_scale).
@@ -87,9 +96,10 @@ struct EscrowFanout;  // scheduler/durability.h
 
 class ShardedScheduler {
  public:
-  /// Called on the dispatching shard's cycle thread, after every cycle that
-  /// dispatched requests. Must be thread-safe; may call Submit() (that is
-  /// how closed-loop drivers feed finishers without an extra thread).
+  /// Called by the dispatching shard's claim holder (some shard worker, or
+  /// the cooperative caller), after every cycle that dispatched requests.
+  /// Must be thread-safe; may call Submit() (that is how closed-loop
+  /// drivers feed finishers without an extra thread).
   using DispatchCallback = std::function<void(int shard, const RequestBatch& batch)>;
 
   /// Durability configuration. When enabled, Init() first recovers `dir`
@@ -209,12 +219,14 @@ class ShardedScheduler {
 
   /// Spawns one worker thread per shard. Not to be mixed with StepOnce().
   Status Start();
-  /// Parks and joins all workers; idempotent. Called by the destructor.
+  /// Stops and joins all workers once every shard claim is released;
+  /// idempotent. Called by the destructor.
   void Stop();
-  /// Waits until the system is quiescent: every worker parked, every
-  /// incoming queue and mirror inbox empty. Quiescent means "no runnable
-  /// work", not "all done" — pending requests may be blocked waiting for a
-  /// finisher the driver has not submitted yet. False on timeout.
+  /// Waits until the system is quiescent: every worker parked, no shard
+  /// claimed, every incoming queue and mirror inbox empty. Quiescent means
+  /// "no runnable work", not "all done" — pending requests may be blocked
+  /// waiting for a finisher the driver has not submitted yet. False on
+  /// timeout.
   bool WaitIdle(int64_t timeout_us);
 
   // --- cooperative mode (deterministic; caller's thread) ---
@@ -229,14 +241,14 @@ class ShardedScheduler {
   // --- introspection ---
 
   int num_shards() const { return options_.num_shards; }
-  /// The shard's underlying scheduler. Cycle-thread-only members (store(),
+  /// The shard's underlying scheduler. Claim-holder-only members (store(),
   /// totals(), ...) may be read only while workers are stopped or between
   /// cooperative steps.
   DeclarativeScheduler* shard(int i) { return shards_[i]->sched.get(); }
   const ShardRouter& router() const { return router_; }
   /// Shard `i`'s adaptive controller (null when Options::adaptive unset).
   /// relaxed_active()/switches()/last_load() are thread-safe; the rest is
-  /// cycle-thread state.
+  /// claim-holder state.
   const AdaptiveConsistencyController* adaptive_controller(int i) const {
     return shards_[i]->adaptive.get();
   }
@@ -253,13 +265,11 @@ class ShardedScheduler {
   RequestBatch TakeDispatched();
   /// CPU time shard `i`'s cycles + mirror applications have consumed —
   /// the per-shard busy time the single-core speedup projection divides
-  /// by. Thread CPU clock, not wall: time another thread (the WAL flusher,
-  /// another shard on a small machine) spends preempting a cycle is that
-  /// thread's cost, not this shard's.
+  /// by. Threaded mode charges it once per claim, cooperative mode once
+  /// per StepOnce pass. Thread CPU clock, not wall: time another thread
+  /// (the WAL flusher, another shard on a small machine) spends preempting
+  /// a cycle is that thread's cost, not this shard's.
   int64_t shard_busy_us(int i) const;
-  /// CPU time submitters spent in routing + escrow coordination (the
-  /// serial term of the projection).
-  int64_t coordination_us() const { return coordination_us_.load(); }
 
   // --- durability ---
 
@@ -291,35 +301,39 @@ class ShardedScheduler {
     std::unique_ptr<DeclarativeScheduler> sched;
 
     /// Escrow registry: written by submitters holding this shard's ticket,
-    /// consumed by the cycle thread (dispatch fan-out, view rebuild).
+    /// consumed by the claim holder (dispatch fan-out, view rebuild).
     /// `escrow_count` mirrors the map size so the per-cycle view refresh
     /// can skip the lock entirely in the common zero-escrow case.
     std::mutex escrow_mu;
     std::map<txn::TxnId, EscrowEntry> escrow_entries;
     std::atomic<int64_t> escrow_count{0};
 
-    /// Mirror inbox: finisher markers published by other shards' cycle
-    /// threads, applied by this shard's cycle thread.
+    /// Mirror inbox: finisher markers published by other shards' claim
+    /// holders, applied by this shard's claim holder.
     std::mutex mirror_mu;
     std::vector<Request> mirror_inbox;
 
-    /// Worker parking. `dirty` = there may be runnable work; set by queue
-    /// pushes (via the queue's notify hook), mirror publishes, and cycles
-    /// that made progress.
+    /// Claim and parking, all under `wake_mu`. `dirty` = there may be
+    /// runnable work; set by queue pushes (via the queue's notify hook),
+    /// mirror publishes, and dispatching cycles that left pending rows.
+    /// `running` = some thread holds the shard's claim; it re-checks
+    /// `dirty` before letting go. `parked` = the owning worker waits on
+    /// `wake_cv` and nobody has woken it yet.
     std::mutex wake_mu;
     std::condition_variable wake_cv;
     bool dirty = true;
+    bool running = false;
     bool parked = false;
 
     /// Escrow admission ticket (held briefly by submitting threads, in
     /// canonical shard order across shards).
     std::mutex ticket_mu;
 
-    /// The view handed to this shard's protocol; cycle thread only.
+    /// The view handed to this shard's protocol; claim holder only.
     EscrowedLocks escrow_view;
 
     /// Per-shard adaptive controller (null unless Options::adaptive).
-    /// Driven by the cycle thread after each cycle; its published state
+    /// Driven by the claim holder after each cycle; its published state
     /// (relaxed_active, switches, last_load) is readable from any thread.
     std::unique_ptr<AdaptiveConsistencyController> adaptive;
 
@@ -328,15 +342,31 @@ class ShardedScheduler {
   };
 
   /// One pass of shard `s`'s loop body: absorb mirrors, rebuild the escrow
-  /// view, run one cycle if dirty, process dispatches. Returns true if a
-  /// cycle ran. Cycle thread (worker or cooperative caller) only.
-  Result<bool> RunShardOnce(int s, SimTime now);
+  /// view, run one cycle if `dirty` (the wake flag the caller consumed
+  /// under wake_mu) or a mirror applied, process dispatches. Returns true
+  /// if a cycle ran. Claim holder (or cooperative caller) only.
+  Result<bool> RunShardOnce(int s, bool dirty, SimTime now);
   Status ProcessDispatched(int s, const RequestBatch& batch);
   /// Drains and applies the shard's mirror inbox; returns how many applied.
   int ApplyMirrors(int s);
   void PublishMirror(int to_shard, const Request& marker);
   void WorkerLoop(int s);
+  /// Flags shard `s` runnable. A claim holder picks it up on release; a
+  /// shard worker records it to drive itself (DriveRecorded); any other
+  /// thread wakes the shard's parked worker.
   void MarkDirty(int s);
+  /// Claims shard `s` if it is runnable and unclaimed. wake_mu not held.
+  bool TryClaim(int s);
+  /// Runs claimed shard `s` while it stays dirty, up to kClaimPasses
+  /// passes, then releases the claim; a cycle error is fatal. Charges the
+  /// thread CPU time since `*cpu_us` to the shard and advances `*cpu_us`.
+  void RunClaimed(int s, int64_t* cpu_us);
+  /// On worker `own`'s thread after its claim is released: claims and
+  /// runs every shard its claims recorded as runnable, until none is left.
+  void DriveRecorded(int own, int64_t* cpu_us);
+  /// wake_mu held, `parked` true: counts the wake-up and un-parks the
+  /// worker. The caller notifies wake_cv after unlocking.
+  void UnparkLocked(int s);
   SimTime Now() const { return SimTime::FromMicros(now_us_.load()); }
 
   /// Init()'s durability arm: recover the data directory into the fresh
@@ -376,7 +406,8 @@ class ShardedScheduler {
   std::atomic<int64_t> victims_{0};
   std::atomic<int64_t> adaptive_switches_{0};
   std::atomic<int64_t> external_aborts_{0};
-  std::atomic<int64_t> coordination_us_{0};
+  /// Claims taken; WaitIdle rescans when it moved during a scan.
+  std::atomic<uint64_t> claims_{0};
 
   std::mutex dispatch_log_mu_;
   RequestBatch dispatch_log_;
@@ -390,6 +421,7 @@ class ShardedScheduler {
   observability::Counter* m_victims_ = nullptr;
   observability::Counter* m_gc_removed_ = nullptr;
   std::vector<observability::HistogramMetric*> m_cycle_us_;  ///< per shard
+  std::vector<observability::Counter*> m_wakeups_;           ///< per shard
 
   /// Adaptive metrics (non-null iff metrics set and adaptive enabled).
   observability::Counter* m_adaptive_switches_ = nullptr;

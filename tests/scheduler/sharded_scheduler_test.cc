@@ -17,16 +17,25 @@
 #include "scheduler/sharded_scheduler.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdlib>
+#include <deque>
+#include <functional>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "observability/metrics.h"
 #include "scheduler/protocol_library.h"
 #include "scheduler/shard_router.h"
+#include "test_util.h"
 
 namespace declsched::scheduler {
 namespace {
@@ -539,6 +548,335 @@ TEST(ShardedSchedulerTest, ShardsShareOneServerWithPerShardBusyAccounting) {
   // Each write incremented its row once.
   EXPECT_EQ(server.RowValue(obj0).ValueOrDie(), 1);
   EXPECT_EQ(server.RowValue(obj1).ValueOrDie(), 1);
+}
+
+// --- claim protocol ----------------------------------------------------------
+
+TEST(ShardedSchedulerTest, IdleChainRunsWithoutWakingOtherWorkers) {
+  // One transaction whose writes alternate shards, each next op (and the
+  // commit) submitted from on_dispatch — the FrontDoor shape. The worker
+  // woken for the first op follows the chain across both shards itself:
+  // shard 1's worker is never woken, and no cycle runs on the submitter.
+  observability::MetricsRegistry metrics;
+  ShardedScheduler::Options options;
+  options.num_shards = 2;
+  options.shard = NativeOptions();
+  options.metrics = &metrics;
+
+  ShardRouter router(2);
+  std::vector<int64_t> objects;  // shards 0, 1, 0, 1
+  for (int64_t o = 0; objects.size() < 4; ++o) {
+    if (router.ShardOfObject(o) == static_cast<int>(objects.size() % 2)) {
+      objects.push_back(o);
+    }
+  }
+  constexpr txn::TxnId kTa = 7;
+  const std::thread::id test_thread = std::this_thread::get_id();
+  std::atomic<bool> committed{false};
+  std::mutex seen_mu;
+  std::map<std::string, int> seen;          // dispatch count per request
+  std::set<std::thread::id> cycle_threads;  // threads that ran on_dispatch
+  ShardedScheduler* sharded_ptr = nullptr;
+  options.on_dispatch = [&](int, const RequestBatch& batch) {
+    for (const Request& r : batch) {
+      {
+        std::lock_guard<std::mutex> lock(seen_mu);
+        ++seen[Key(r)];
+        cycle_threads.insert(std::this_thread::get_id());
+      }
+      if (r.op == txn::OpType::kCommit) {
+        committed = true;
+        continue;
+      }
+      const size_t next = static_cast<size_t>(r.intrata);  // intrata is 1-based
+      sharded_ptr->Submit(
+          next < objects.size()
+              ? Op(kTa, r.intrata + 1, txn::OpType::kWrite, objects[next])
+              : Op(kTa, r.intrata + 1, txn::OpType::kCommit,
+                   Request::kNoObject),
+          SimTime());
+    }
+  };
+  ShardedScheduler sharded(std::move(options), nullptr);
+  sharded_ptr = &sharded;
+  ASSERT_TRUE(sharded.Init().ok());
+  ASSERT_TRUE(sharded.Start().ok());
+  ASSERT_TRUE(sharded.WaitIdle(/*timeout_us=*/10000000));
+  observability::Counter* wakeups[2];
+  for (int s = 0; s < 2; ++s) {
+    wakeups[s] = metrics.GetCounter("sched_worker_wakeups_total", "",
+                                    {{"shard", std::to_string(s)}});
+  }
+  const int64_t before0 = wakeups[0]->Value();
+  const int64_t before1 = wakeups[1]->Value();
+
+  sharded.Submit(Op(kTa, 1, txn::OpType::kWrite, objects[0]), SimTime());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!committed && std::chrono::steady_clock::now() < deadline) {
+    ASSERT_TRUE(sharded.WaitIdle(/*timeout_us=*/10000000));
+  }
+  ASSERT_TRUE(committed) << "chain stalled";
+  ASSERT_TRUE(sharded.WaitIdle(/*timeout_us=*/10000000));
+  sharded.Stop();
+
+  EXPECT_EQ(seen.size(), 5u);
+  for (const auto& [key, count] : seen) {
+    EXPECT_EQ(count, 1) << key << " dispatched " << count << " times";
+  }
+  EXPECT_EQ(sharded.totals().escrows, 1);
+  EXPECT_EQ(sharded.totals().mirrors_applied, 1);
+  EXPECT_GT(wakeups[0]->Value(), before0);
+  EXPECT_EQ(wakeups[1]->Value(), before1)
+      << "shard 1's worker was woken instead of followed";
+  EXPECT_EQ(cycle_threads.count(test_thread), 0u)
+      << "a cycle ran on a non-worker thread";
+  EXPECT_EQ(cycle_threads.size(), 1u) << "the chain changed threads";
+}
+
+/// Fails every cycle: a shard that hits it must not wedge silently.
+class FailingProtocol : public Protocol {
+ public:
+  explicit FailingProtocol(ProtocolSpec spec) : Protocol(std::move(spec)) {}
+  Result<RequestBatch> Schedule(const ScheduleContext&) const override {
+    return Status::Internal("injected schedule failure");
+  }
+};
+
+TEST(ShardedSchedulerDeathTest, CycleErrorIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto run = [] {
+    ProtocolFactory factory;
+    DS_CHECK_OK(factory.RegisterBackend(
+        "failing",
+        [](const ProtocolSpec& spec,
+           RequestStore*) -> Result<std::unique_ptr<Protocol>> {
+          return std::unique_ptr<Protocol>(new FailingProtocol(spec));
+        }));
+    ProtocolSpec spec;
+    spec.name = "failing";
+    spec.backend = "failing";
+    ShardedScheduler::Options options;
+    options.num_shards = 2;
+    options.shard.protocol = spec;
+    options.shard.factory = &factory;
+    options.shard.deadlock_detection = false;
+    ShardedScheduler sharded(std::move(options), nullptr);
+    DS_CHECK_OK(sharded.Init());
+    DS_CHECK_OK(sharded.Start());
+    int64_t object = 0;
+    while (sharded.router().ShardOfObject(object) != 1) ++object;
+    sharded.Submit(Op(1, 1, txn::OpType::kWrite, object), SimTime());
+    // Reached only if the failure wedged the shard instead of crashing.
+    sharded.WaitIdle(/*timeout_us=*/5000000);
+  };
+  EXPECT_DEATH(run(), "shard 1 cycle failed: .*injected schedule failure");
+}
+
+/// Default seeds plus any in DECLSCHED_SHARD_STRESS_SEEDS (comma-separated
+/// integers), so CI can widen the matrix and a failing seed replays alone.
+std::vector<uint64_t> StressSeeds() {
+  std::vector<uint64_t> seeds = {1, 2, 3};
+  if (const char* env = std::getenv("DECLSCHED_SHARD_STRESS_SEEDS")) {
+    std::string spec(env);
+    size_t pos = 0;
+    while (pos < spec.size()) {
+      size_t comma = spec.find(',', pos);
+      if (comma == std::string::npos) comma = spec.size();
+      const std::string token = spec.substr(pos, comma - pos);
+      if (!token.empty()) {
+        seeds.push_back(std::strtoull(token.c_str(), nullptr, 0));
+      }
+      pos = comma + 1;
+    }
+  }
+  return seeds;
+}
+
+TEST(ShardedSchedulerTest, ThreadedOpChainsDispatchExactlyOnce) {
+  // The claim handshake under load: many closed-loop transactions in
+  // flight, each op submitted from on_dispatch once the previous one
+  // dispatched (the FrontDoor shape), first ops admitted by a separate
+  // feeder thread (the reactor's), cross-shard finishers through escrow.
+  // Durability is on, Checkpoint() runs mid-flight, and the workers are
+  // stopped and restarted once with chains in flight. Every transaction
+  // locks its objects in ascending order, so no waits-for cycle can form:
+  // a stall is a scheduler bug.
+  constexpr int kTxns = 1000;
+  constexpr int kClients = 24;  // transactions in flight at once
+  constexpr int kShards = 4;
+  constexpr int64_t kObjects = 48;
+  for (const uint64_t seed : StressSeeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<TraceTxn> txns;
+    for (int t = 0; t < kTxns; ++t) {
+      TraceTxn txn;
+      txn.ta = 1 + t;
+      std::set<int64_t> objects;
+      const int ops = 1 + static_cast<int>(rng.UniformInt(0, 3));
+      while (static_cast<int>(objects.size()) < ops) {
+        objects.insert(rng.UniformInt(0, kObjects - 1));
+      }
+      int64_t intrata = 1;
+      for (int64_t object : objects) {
+        txn.ops.push_back(Op(txn.ta, intrata++,
+                             rng.Bernoulli(0.7) ? txn::OpType::kWrite
+                                                : txn::OpType::kRead,
+                             object));
+      }
+      txn.finisher =
+          rng.Bernoulli(0.9) ? txn::OpType::kCommit : txn::OpType::kAbort;
+      txns.push_back(std::move(txn));
+    }
+    const std::vector<std::string> expected =
+        SortedKeys(ReferenceDispatches({txns}));
+    ASSERT_EQ(std::set<std::string>(expected.begin(), expected.end()).size(),
+              expected.size());
+
+    testing::ScopedTempDir dir("shard_stress");
+    ShardedScheduler::Options options;
+    options.num_shards = kShards;
+    options.shard = NativeOptions();
+    options.durability.enabled = true;
+    options.durability.dir = dir;
+    options.durability.fsync = false;
+
+    // Client c runs transactions c, c + kClients, ... one after another.
+    // A dispatched finisher hands its client to the feeder thread.
+    std::mutex ready_mu;
+    std::condition_variable ready_cv;
+    std::deque<int> ready;  // next transaction index to start
+    std::atomic<int> finished{0};
+    ShardedScheduler* sharded_ptr = nullptr;
+    options.on_dispatch = [&](int, const RequestBatch& batch) {
+      for (const Request& r : batch) {
+        if (r.ta > kTxns) continue;  // the final lock probe
+        const TraceTxn& txn = txns[static_cast<size_t>(r.ta - 1)];
+        if (r.op == txn::OpType::kCommit || r.op == txn::OpType::kAbort) {
+          finished.fetch_add(1);
+          const int next = static_cast<int>(r.ta - 1) + kClients;
+          if (next < kTxns) {
+            std::lock_guard<std::mutex> lock(ready_mu);
+            ready.push_back(next);
+          }
+          ready_cv.notify_one();
+          continue;
+        }
+        const size_t i = static_cast<size_t>(r.intrata);  // next op index
+        sharded_ptr->Submit(i < txn.ops.size()
+                                ? txn.ops[i]
+                                : Op(txn.ta, 1000, txn.finisher,
+                                     Request::kNoObject),
+                            SimTime());
+      }
+    };
+    ShardedScheduler sharded(std::move(options), nullptr);
+    sharded_ptr = &sharded;
+    ASSERT_TRUE(sharded.Init().ok());
+    ASSERT_TRUE(sharded.Start().ok());
+
+    // The feeder starts only transactions below `admit_limit`, which the
+    // test thread raises after each lifecycle event: every event happens
+    // before the run can finish, with the last stage's chains in flight.
+    int admit_limit = kTxns / 4;  // guarded by ready_mu
+    bool feeding = true;          // guarded by ready_mu
+    std::thread feeder([&] {
+      std::unique_lock<std::mutex> lock(ready_mu);
+      while (feeding) {
+        std::vector<int> start;
+        for (auto it = ready.begin(); it != ready.end();) {
+          if (*it < admit_limit) {
+            start.push_back(*it);
+            it = ready.erase(it);
+          } else {
+            ++it;
+          }
+        }
+        if (start.empty()) {
+          ready_cv.wait_for(lock, std::chrono::milliseconds(5));
+          continue;
+        }
+        lock.unlock();
+        for (const int t : start) {
+          sharded.Submit(txns[static_cast<size_t>(t)].ops[0], SimTime());
+        }
+        lock.lock();
+      }
+    });
+    const auto set_admission = [&](int limit, bool feed) {
+      {
+        std::lock_guard<std::mutex> lock(ready_mu);
+        admit_limit = limit;
+        feeding = feed;
+      }
+      ready_cv.notify_one();
+    };
+    // Joins the feeder on every exit path, before `sharded` goes away.
+    struct OnExit {
+      std::function<void()> fn;
+      ~OnExit() { fn(); }
+    } join_feeder{[&] {
+      set_admission(0, false);
+      feeder.join();
+    }};
+    {
+      std::lock_guard<std::mutex> lock(ready_mu);
+      for (int c = 0; c < kClients && c < kTxns; ++c) ready.push_back(c);
+    }
+    ready_cv.notify_one();
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    const auto wait_finished = [&](int n) {
+      while (finished.load() < n &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      return finished.load() >= n;
+    };
+    const auto stalled = [&] {
+      return "stalled: " + std::to_string(sharded.totals().dispatched) +
+             " dispatched of " + std::to_string(sharded.totals().submitted) +
+             " submitted";
+    };
+    ASSERT_TRUE(wait_finished(kTxns / 4 - kClients / 2)) << stalled();
+    ASSERT_TRUE(sharded.Checkpoint().ok());
+    set_admission(kTxns / 2, true);
+    ASSERT_TRUE(wait_finished(kTxns / 2 - kClients / 2)) << stalled();
+    sharded.Stop();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(sharded.Start().ok());
+    set_admission(3 * kTxns / 4, true);
+    ASSERT_TRUE(wait_finished(3 * kTxns / 4 - kClients / 2)) << stalled();
+    ASSERT_TRUE(sharded.Checkpoint().ok());
+    set_admission(kTxns, true);
+    ASSERT_TRUE(wait_finished(kTxns)) << stalled();
+    ASSERT_TRUE(sharded.WaitIdle(/*timeout_us=*/10000000));
+
+    const ShardedScheduler::Totals totals = sharded.totals();
+    EXPECT_EQ(totals.submitted, totals.dispatched);
+    EXPECT_GT(totals.escrows, 0);
+    EXPECT_EQ(SortedKeys(sharded.TakeDispatched()), expected);
+
+    // No lock left held: one fresh transaction writing every object
+    // dispatches in full.
+    constexpr txn::TxnId kFresh = 1000000;
+    int fresh_ops = 0;
+    for (int64_t object = 0; object < kObjects; ++object) {
+      sharded.Submit(Op(kFresh, object + 1, txn::OpType::kWrite, object),
+                     SimTime());
+    }
+    ASSERT_TRUE(sharded.WaitIdle(/*timeout_us=*/10000000));
+    for (const Request& r : sharded.TakeDispatched()) {
+      if (r.ta == kFresh) ++fresh_ops;
+    }
+    EXPECT_EQ(fresh_ops, kObjects) << "a leaked lock blocks new work";
+    sharded.Stop();
+    for (int s = 0; s < kShards; ++s) {
+      EXPECT_EQ(sharded.shard(s)->store()->pending_count(), 0) << "shard " << s;
+    }
+  }
 }
 
 }  // namespace
