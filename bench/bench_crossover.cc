@@ -31,7 +31,7 @@ struct Row {
   double native_overhead_s;
   double declarative_overhead_s;  // ss2pl-sql, the paper's configuration
   double datalog_overhead_s;
-  double native_backend_overhead_s;  // hand-coded C++ through the same API
+  double native_backend_overhead_s;  // the ss2pl-native stage pipeline
 };
 
 /// The paper's extrapolation for one protocol backend: measure one cycle on

@@ -1,20 +1,23 @@
-// Cycle-cost scaling: per-cycle scheduler cost as resident history grows
-// (the ISSUE 2 tentpole claim, measured).
+// Cycle-cost scaling: per-cycle scheduler cost as resident history grows.
 //
-// Sweeps resident history size x drain size across backends. Resident
-// history is rows of *active* (uncommitted) transactions — exactly the
-// state GC may not retire — so a from-scratch backend pays for it every
-// cycle while the incremental native backend pays only for the delta. Each
-// point runs fresh-drain cycles on a warmed scheduler and reports the best
-// observed per-cycle protocol (query) cost.
+// Sweeps resident history size x drain size across the SS2PL formulations.
+// Resident history is rows of *active* (uncommitted) transactions — exactly
+// the state GC may not retire — so the from-scratch interpreted engines
+// pay for it every cycle while the compiled protocols (SQL, Datalog and the
+// `ss2pl-native` stage pipeline, all lowered to the protocol IR) pay only
+// for the delta. Each point runs fresh-drain cycles on a warmed scheduler
+// and reports the best observed per-cycle protocol (query) cost.
 //
 // Emits one JSON row per (backend, history, drain) point, and exits
 // nonzero unless
-//   (a) the incremental native backend's per-cycle query cost stays
-//       roughly flat as resident history grows, and
-//   (b) at the largest swept history it beats the stateless scratch
-//       formulation (the pre-incremental implementation, kept in-tree as
-//       "scratch:ss2pl") by the expected margin.
+//   (a) the compiled protocols' per-cycle query cost stays roughly flat as
+//       resident history grows;
+//   (b) at the largest swept history compiled SQL (vectorized) beats its
+//       interpreted oracle ("interp:ss2pl-sql") by the expected margin;
+//   (c) the three compiled front-ends of the same plan stay within a small
+//       factor of the cheapest of them;
+//   (d) the vectorized executor never loses to the scalar one, and matches
+//       the pipeline front-end at the largest history.
 //
 // Flags: --smoke       small sweep + relaxed gates (CI-friendly)
 //        --json PATH   also write the JSON rows to PATH
@@ -145,21 +148,14 @@ int main(int argc, char** argv) {
       smoke ? std::vector<int>{64} : std::vector<int>{32, 256};
   const int measure_cycles = smoke ? 3 : 5;
 
-  ProtocolSpec scratch_native = Ss2plNative();
-  scratch_native.name = "ss2pl-native-scratch";
-  scratch_native.text = "scratch:ss2pl";
-  // "sql"/"datalog" are the default declarative backends — since ISSUE 5
-  // they compile to the protocol IR and sweep the full range; the
-  // re-parse-and-interpret engines stay measurable as the capped
+  // "pipeline" is the `ss2pl-native` spec (filter:ss2pl | rank:fcfs),
+  // "sql"/"datalog" the declarative texts: all three compile to the same
+  // protocol IR plan and run the vectorized executor by default. The
+  // row-at-a-time executor stays measurable as the "*-scalar" rows
+  // (ScalarExecVariant), the re-parse-and-interpret engines as the capped
   // "*-interp" rows ("interp:" spec prefix).
   std::vector<Sweep> sweeps;
-  sweeps.push_back({"native", Ss2plNative(), INT64_MAX, {}});
-  sweeps.push_back({"native-scratch", scratch_native, INT64_MAX, {}});
-  sweeps.push_back({"composed", ComposedSs2plPriority(), INT64_MAX, {}});
-  // "sql"/"datalog" compile to the IR and run the vectorized executor by
-  // default (ISSUE 9); the row-at-a-time executor stays measurable as the
-  // "*-scalar" rows (ScalarExecVariant), the interpreted engines as
-  // "*-interp".
+  sweeps.push_back({"pipeline", Ss2plNative(), INT64_MAX, {}});
   sweeps.push_back({"sql", Ss2plSql(), INT64_MAX, {}});
   sweeps.push_back({"datalog", Ss2plDatalog(), INT64_MAX, {}});
   sweeps.push_back({"sql-scalar", ScalarExecVariant(Ss2plSql()), INT64_MAX, {}});
@@ -232,112 +228,92 @@ int main(int argc, char** argv) {
     std::fclose(f);
   }
 
-  // Gate (a): per-cycle query cost roughly flat in resident history, for
-  // the incremental native backend AND the compiled declarative backends
-  // (the ISSUE 5 claim: lowering makes SQL/Datalog scale like native).
-  // Compared per drain size: largest-history cost within a small factor of
-  // the smallest-history cost (noise floor keeps tiny absolute times from
-  // tripping the ratio).
+  // Looks up one sweep point's query cost (-1 when the sweep skipped it).
+  auto query_us = [&](const char* label, int64_t history, int drain) {
+    for (const Sweep& s : sweeps) {
+      if (s.label != label) continue;
+      for (const PointResult& p : s.points) {
+        if (p.history_rows == history && p.drain == drain) return p.query_us;
+      }
+    }
+    return int64_t{-1};
+  };
+  const int64_t h_min = history_sizes.front();
+  const int64_t h_max = history_sizes.back();
+
+  // Gate (a): per-cycle query cost roughly flat in resident history for
+  // every compiled front-end (lowering makes all three scale with the
+  // delta, not the history). Compared per drain size: largest-history cost
+  // within a small factor of the smallest-history cost (noise floor keeps
+  // tiny absolute times from tripping the ratio).
   const double kFlatFactor = smoke ? 4.0 : 3.0;
   const int64_t kNoiseFloorUs = 300;
   bool ok = true;
-  const Sweep& native = sweeps[0];
-  const Sweep& scratch = sweeps[1];
-  for (const char* flat_label : {"native", "sql", "datalog"}) {
-    const Sweep* sweep = nullptr;
-    for (const Sweep& s : sweeps) {
-      if (s.label == flat_label) sweep = &s;
-    }
+  const char* const kCompiled[] = {"pipeline", "sql", "datalog"};
+  for (const char* label : kCompiled) {
     for (int d : drain_sizes) {
-      int64_t at_min = -1;
-      int64_t at_max = -1;
-      for (const PointResult& p : sweep->points) {
-        if (p.drain != d) continue;
-        if (p.history_rows == history_sizes.front()) at_min = p.query_us;
-        if (p.history_rows == history_sizes.back()) at_max = p.query_us;
-      }
+      const int64_t at_min = query_us(label, h_min, d);
+      const int64_t at_max = query_us(label, h_max, d);
       const int64_t budget = std::max(
           static_cast<int64_t>(kFlatFactor * static_cast<double>(at_min)),
           kNoiseFloorUs);
       const bool flat = at_max >= 0 && at_min >= 0 && at_max <= budget;
       std::printf("\n%s flatness @drain=%d: %lldus (history=%lld) vs "
                   "%lldus (history=%lld) -> %s\n",
-                  flat_label, d, static_cast<long long>(at_min),
-                  static_cast<long long>(history_sizes.front()),
+                  label, d, static_cast<long long>(at_min),
+                  static_cast<long long>(h_min),
                   static_cast<long long>(at_max),
-                  static_cast<long long>(history_sizes.back()),
-                  flat ? "flat" : "NOT FLAT");
+                  static_cast<long long>(h_max), flat ? "flat" : "NOT FLAT");
       ok = ok && flat;
     }
   }
 
-  // Gate (b): incremental native beats the pre-incremental scratch
-  // formulation at the largest history. Full sweep demands the ISSUE's 5x
-  // at 10k rows; smoke just demands it is not slower.
+  // Gate (b): the compiled, incremental SQL protocol beats its stateless
+  // interpreted oracle at the largest history. Full sweep demands 5x at
+  // 10k rows; smoke just demands it is not slower.
   const double kSpeedupGate = smoke ? 1.0 : 5.0;
   for (int d : drain_sizes) {
-    int64_t native_us = -1;
-    int64_t scratch_us = -1;
-    for (const PointResult& p : native.points) {
-      if (p.drain == d && p.history_rows == history_sizes.back()) {
-        native_us = p.query_us;
-      }
-    }
-    for (const PointResult& p : scratch.points) {
-      if (p.drain == d && p.history_rows == history_sizes.back()) {
-        scratch_us = p.query_us;
-      }
-    }
-    const double speedup = native_us > 0
-                               ? static_cast<double>(scratch_us) /
-                                     static_cast<double>(native_us)
+    const int64_t compiled_us = query_us("sql", h_max, d);
+    const int64_t interp_us = query_us("sql-interp", h_max, d);
+    const double speedup = compiled_us > 0
+                               ? static_cast<double>(interp_us) /
+                                     static_cast<double>(compiled_us)
                                : 0.0;
     const bool fast =
-        native_us >= 0 && scratch_us >= 0 &&
+        compiled_us >= 0 && interp_us >= 0 &&
         (speedup >= kSpeedupGate ||
          // Sub-noise absolute costs can't meaningfully miss the gate.
-         (scratch_us <= kNoiseFloorUs && native_us <= scratch_us));
-    std::printf("native vs scratch @drain=%d, history=%lld: %lldus vs %lldus "
-                "(%.1fx, need %.1fx) -> %s\n",
-                d, static_cast<long long>(history_sizes.back()),
-                static_cast<long long>(native_us),
-                static_cast<long long>(scratch_us), speedup, kSpeedupGate,
+         (interp_us <= kNoiseFloorUs && compiled_us <= interp_us));
+    std::printf("sql(vec) vs sql-interp @drain=%d, history=%lld: %lldus vs "
+                "%lldus (%.1fx, need %.1fx) -> %s\n",
+                d, static_cast<long long>(h_max),
+                static_cast<long long>(compiled_us),
+                static_cast<long long>(interp_us), speedup, kSpeedupGate,
                 fast ? "ok" : "TOO SLOW");
     ok = ok && fast;
   }
 
-  // Gate (c): the compiled declarative backends stay within a small factor
-  // of native at the largest swept history (vs ~150x for the interpreted
-  // engines before ISSUE 5) — the "declarative at middleware speed" claim.
-  const double kCompiledFactor = 5.0;
-  for (const char* compiled_label : {"sql", "datalog"}) {
-    const Sweep* sweep = nullptr;
-    for (const Sweep& s : sweeps) {
-      if (s.label == compiled_label) sweep = &s;
+  // Gate (c): the three front-ends lower to one plan, so at the largest
+  // swept history each stays within a small factor of the cheapest of them
+  // (vs ~150x for the interpreted engines).
+  const double kFrontEndFactor = 5.0;
+  for (int d : drain_sizes) {
+    int64_t cheapest = INT64_MAX;
+    for (const char* label : kCompiled) {
+      const int64_t us = query_us(label, h_max, d);
+      if (us >= 0) cheapest = std::min(cheapest, us);
     }
-    for (int d : drain_sizes) {
-      int64_t native_us = -1;
-      int64_t compiled_us = -1;
-      for (const PointResult& p : native.points) {
-        if (p.drain == d && p.history_rows == history_sizes.back()) {
-          native_us = p.query_us;
-        }
-      }
-      for (const PointResult& p : sweep->points) {
-        if (p.drain == d && p.history_rows == history_sizes.back()) {
-          compiled_us = p.query_us;
-        }
-      }
+    for (const char* label : kCompiled) {
+      const int64_t us = query_us(label, h_max, d);
       const int64_t budget = std::max(
-          static_cast<int64_t>(kCompiledFactor * static_cast<double>(native_us)),
+          static_cast<int64_t>(kFrontEndFactor * static_cast<double>(cheapest)),
           kNoiseFloorUs);
-      const bool close = native_us >= 0 && compiled_us >= 0 &&
-                         compiled_us <= budget;
-      std::printf("%s vs native @drain=%d, history=%lld: %lldus vs %lldus "
-                  "(budget %.0fx) -> %s\n",
-                  compiled_label, d, static_cast<long long>(history_sizes.back()),
-                  static_cast<long long>(compiled_us),
-                  static_cast<long long>(native_us), kCompiledFactor,
+      const bool close = us >= 0 && us <= budget;
+      std::printf("%s vs cheapest front-end @drain=%d, history=%lld: %lldus "
+                  "vs %lldus (budget %.0fx) -> %s\n",
+                  label, d, static_cast<long long>(h_max),
+                  static_cast<long long>(us),
+                  static_cast<long long>(cheapest), kFrontEndFactor,
                   close ? "ok" : "TOO SLOW");
       ok = ok && close;
     }
@@ -345,56 +321,39 @@ int main(int argc, char** argv) {
 
   // Gate (d): the vectorized executor never loses to the row-at-a-time
   // executor on the same compiled plan — at every sweep point — and at the
-  // largest swept history it also matches the hand-coded native backend
-  // (the ISSUE 9 claim: batch operators over columnar mirrors close the
-  // remaining compiled-vs-native gap). Sub-noise absolute costs pass.
+  // largest swept history the SQL and Datalog texts also match the
+  // pipeline front-end. Sub-noise absolute costs pass.
   for (const auto& pair : {std::pair<const char*, const char*>{"sql",
                                                                "sql-scalar"},
                            {"datalog", "datalog-scalar"}}) {
-    const Sweep* vec_sweep = nullptr;
-    const Sweep* scalar_sweep = nullptr;
-    for (const Sweep& s : sweeps) {
-      if (s.label == pair.first) vec_sweep = &s;
-      if (s.label == pair.second) scalar_sweep = &s;
-    }
-    for (size_t i = 0; i < vec_sweep->points.size(); ++i) {
-      const PointResult& v = vec_sweep->points[i];
-      const PointResult& s = scalar_sweep->points[i];
-      const int64_t budget = std::max(s.query_us, kNoiseFloorUs);
-      const bool fast = v.query_us <= budget;
-      std::printf("%s(vec) vs %s @history=%lld drain=%d: %lldus vs %lldus "
-                  "-> %s\n",
-                  pair.first, pair.second,
-                  static_cast<long long>(v.history_rows), v.drain,
-                  static_cast<long long>(v.query_us),
-                  static_cast<long long>(s.query_us),
-                  fast ? "ok" : "SLOWER THAN SCALAR");
-      ok = ok && fast;
-    }
-    int64_t vec_us = -1;
-    int64_t native_us = -1;
-    for (const PointResult& p : vec_sweep->points) {
-      if (p.drain == drain_sizes.back() &&
-          p.history_rows == history_sizes.back()) {
-        vec_us = p.query_us;
+    for (int64_t h : history_sizes) {
+      for (int d : drain_sizes) {
+        const int64_t vec_us = query_us(pair.first, h, d);
+        const int64_t scalar_us = query_us(pair.second, h, d);
+        const int64_t budget = std::max(scalar_us, kNoiseFloorUs);
+        const bool fast = vec_us >= 0 && scalar_us >= 0 && vec_us <= budget;
+        std::printf("%s(vec) vs %s @history=%lld drain=%d: %lldus vs %lldus "
+                    "-> %s\n",
+                    pair.first, pair.second, static_cast<long long>(h), d,
+                    static_cast<long long>(vec_us),
+                    static_cast<long long>(scalar_us),
+                    fast ? "ok" : "SLOWER THAN SCALAR");
+        ok = ok && fast;
       }
     }
-    for (const PointResult& p : native.points) {
-      if (p.drain == drain_sizes.back() &&
-          p.history_rows == history_sizes.back()) {
-        native_us = p.query_us;
-      }
-    }
-    const int64_t native_budget = std::max(native_us, kNoiseFloorUs);
-    const bool matches_native =
-        vec_us >= 0 && native_us >= 0 && vec_us <= native_budget;
-    std::printf("%s(vec) vs native @history=%lld drain=%d: %lldus vs %lldus "
+    const int64_t vec_us = query_us(pair.first, h_max, drain_sizes.back());
+    const int64_t pipeline_us =
+        query_us("pipeline", h_max, drain_sizes.back());
+    const int64_t pipeline_budget = std::max(pipeline_us, kNoiseFloorUs);
+    const bool matches =
+        vec_us >= 0 && pipeline_us >= 0 && vec_us <= pipeline_budget;
+    std::printf("%s(vec) vs pipeline @history=%lld drain=%d: %lldus vs %lldus "
                 "-> %s\n",
-                pair.first, static_cast<long long>(history_sizes.back()),
-                drain_sizes.back(), static_cast<long long>(vec_us),
-                static_cast<long long>(native_us),
-                matches_native ? "ok" : "SLOWER THAN NATIVE");
-    ok = ok && matches_native;
+                pair.first, static_cast<long long>(h_max), drain_sizes.back(),
+                static_cast<long long>(vec_us),
+                static_cast<long long>(pipeline_us),
+                matches ? "ok" : "SLOWER THAN PIPELINE");
+    ok = ok && matches;
   }
 
   return ok ? 0 : 1;

@@ -16,7 +16,7 @@
 // Part 2 — accounting overhead. The TenantAccountant rides along every
 // cycle (delta hooks + one tenants-relation flush); its cost must be
 // invisible next to the scheduler's own work. Measured at the
-// bench_cycle_scale 10k-resident-row point (native ss2pl, drains 64 and
+// bench_cycle_scale 10k-resident-row point (ss2pl-native, drains 64 and
 // 256): best-of-K interleaved cycle cost with accounting on vs off.
 //   Gate: on-cost <= off-cost * 1.05 + a small absolute noise floor
 //   (5us full, 10us smoke) per drain size.
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
   const double ratio_gate = 1.05;
   const int64_t floor_us = smoke ? 10 : 5;
   std::printf(
-      "\n== Accounting overhead: native ss2pl, %lld resident rows ==\n",
+      "\n== Accounting overhead: ss2pl-native, %lld resident rows ==\n",
       static_cast<long long>(history_rows));
   for (int drain : {64, 256}) {
     int64_t best_on = INT64_MAX, best_off = INT64_MAX;

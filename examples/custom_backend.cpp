@@ -1,16 +1,11 @@
-// Authoring a custom Protocol backend and a custom ComposedProtocol stage.
-// This is the runnable twin of docs/BACKENDS.md — the guide's snippets are
-// lifted from here, so "compiles in the example" means "correct in the
-// docs".
+// Authoring a custom Protocol backend. This is the runnable twin of
+// docs/BACKENDS.md — the guide's snippets are lifted from here, so
+// "compiles in the example" means "correct in the docs".
 //
 // The backend ("oldest-first"): SS2PL-safe qualification reusing the
 // shared lock-analysis helpers, dispatching oldest transaction first. It
 // keeps an incremental LockTableState fed by the scheduler's delta hooks,
 // so its per-cycle cost is O(pending + delta), not O(pending + history).
-//
-// The stage ("tier"): drops pending requests whose SLA priority is worse
-// than the stage argument, so "tier:0 | filter:ss2pl | rank:fcfs" is a
-// premium-only pipeline with no new backend code.
 
 #include <algorithm>
 #include <cstdio>
@@ -18,7 +13,6 @@
 #include <string>
 
 #include "common/logging.h"
-#include "scheduler/backends/composed_protocol.h"
 #include "scheduler/declarative_scheduler.h"
 #include "scheduler/lock_table.h"
 #include "scheduler/protocol.h"
@@ -72,29 +66,6 @@ class OldestFirstProtocol : public Protocol {
   mutable LockTableState lock_state_;
 };
 
-// --- a custom composed stage ------------------------------------------------
-
-// Stages transform the batch-in-flight (drop, reorder, truncate — never
-// invent requests). Return true from NeedsLockTable() to make the pipeline
-// maintain incremental lock state and pass it via ScheduleContext::locks.
-class TierStage : public ProtocolStage {
- public:
-  explicit TierStage(int max_priority) : max_priority_(max_priority) {}
-
-  Result<RequestBatch> Apply(const ScheduleContext&,
-                             RequestBatch batch) const override {
-    batch.erase(std::remove_if(batch.begin(), batch.end(),
-                               [&](const Request& r) {
-                                 return r.priority > max_priority_;
-                               }),
-                batch.end());
-    return batch;
-  }
-
- private:
-  int max_priority_;
-};
-
 int main() {
   // Registration: a backend is one compile function under a name; any
   // ProtocolSpec naming that backend now compiles through it. Register in
@@ -105,14 +76,6 @@ int main() {
       [](const ProtocolSpec& spec, RequestStore* store)
           -> Result<std::unique_ptr<Protocol>> {
         return std::unique_ptr<Protocol>(new OldestFirstProtocol(spec, store));
-      }));
-
-  // Stage kinds register the same way; "tier:N" now works in any pipeline.
-  DS_CHECK_OK(RegisterStage(
-      "tier", [](const std::string& arg)
-                  -> Result<std::unique_ptr<ProtocolStage>> {
-        if (arg.empty()) return Status::BindError("tier needs a priority");
-        return std::unique_ptr<ProtocolStage>(new TierStage(std::stoi(arg)));
       }));
 
   // Drive the custom backend through an ordinary scheduler.
@@ -148,19 +111,19 @@ int main() {
     std::printf("  %s\n", r.ToString().c_str());
   }
 
-  // The same scheduler hot-swaps onto a composed pipeline using the custom
-  // stage — protocols are data, across backends.
+  // The same scheduler hot-swaps onto a built-in stage pipeline — protocols
+  // are data, across backends; pending requests survive the switch.
   ProtocolSpec premium;
-  premium.name = "premium-only";
+  premium.name = "premium-first";
   premium.backend = "composed";
-  premium.text = "tier:0 | filter:ss2pl | rank:fcfs";
+  premium.text = "filter:ss2pl | rank:priority | cap:1";
   DS_CHECK_OK(scheduler.SwitchProtocol(premium));
 
-  submit(4, 1, txn::OpType::kRead, 30, 2);  // dropped by tier:0
-  submit(5, 1, txn::OpType::kRead, 40, 0);  // premium: dispatched
+  submit(4, 1, txn::OpType::kRead, 30, 2);  // waits: the cap admits one
+  submit(5, 1, txn::OpType::kRead, 40, 0);  // premium: dispatched first
   stats = scheduler.RunCycle(SimTime());
   DS_CHECK(stats.ok());
-  std::printf("cycle 2 (premium-only pipeline) dispatched %lld:\n",
+  std::printf("cycle 2 (premium-first pipeline) dispatched %lld:\n",
               static_cast<long long>(stats->dispatched));
   for (const Request& r : scheduler.last_dispatched()) {
     std::printf("  %s\n", r.ToString().c_str());

@@ -1,65 +1,22 @@
 // Composed backend: a protocol as a pipeline of stages over the pending
 // batch, unlocking scenario mixes ("read-committed + EDF + admission cap")
 // without writing new SQL. The spec's `text` is a '|'-separated pipeline of
-// `kind:arg` descriptors, evaluated left to right starting from the full
-// pending set:
+// `kind:arg` stages ("filter:ss2pl | rank:edf | cap:16"; the stage kinds are
+// listed in scheduler/ir/lower_pipeline.h).
 //
-//   filter:ss2pl | rank:edf | cap:16
-//
-// Built-in stages:
-//   filter:ss2pl / filter:read-committed / filter:none   consistency filter
-//   rank:fcfs / rank:priority / rank:edf                 dispatch ordering
-//   cap:N                                                admission cap
-//   fair_rank:vtime / fair_rank:round                    tenant fairness
-//                    ordering (wfq / drr, off the `tenants` relation)
-//   tenant_cap                                           drop requests of
-//                    throttled tenants (in-flight cap / empty token bucket)
-//   starvation_boost:WAIT_US                             move requests of
-//                    tenants whose oldest pending request has waited
-//                    >= WAIT_US micros to the front (most-starved first)
-//
-// New stage kinds register a builder via RegisterStage(), the same way new
-// backends register in the ProtocolFactory.
+// The pipeline is lowered into the protocol IR at compile time
+// (ir::LowerPipelineSpec) and runs as an ir::CompiledProtocol — the same
+// runtime, incremental state and executors as the compiled SQL and Datalog
+// specs.
 
 #ifndef DECLSCHED_SCHEDULER_BACKENDS_COMPOSED_PROTOCOL_H_
 #define DECLSCHED_SCHEDULER_BACKENDS_COMPOSED_PROTOCOL_H_
 
-#include <functional>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "scheduler/protocol.h"
 
 namespace declsched::scheduler {
-
-/// One step of a composed protocol: transforms the batch-in-flight (drop,
-/// reorder, truncate — but never invent requests).
-class ProtocolStage {
- public:
-  virtual ~ProtocolStage() = default;
-  virtual Result<RequestBatch> Apply(const ScheduleContext& context,
-                                     RequestBatch batch) const = 0;
-  /// True if the stage defines the dispatch order (rank stages); a pipeline
-  /// containing any ordering stage makes the composed protocol `ordered`.
-  virtual bool DefinesOrder() const { return false; }
-  /// True if the stage consults history-implied locks. A pipeline with any
-  /// such stage makes the composed protocol maintain an incremental
-  /// LockTableState and pass it to every stage via ScheduleContext::locks;
-  /// stages should prefer it over a from-scratch BuildLockTable().
-  virtual bool NeedsLockTable() const { return false; }
-};
-
-/// Builds a stage from the descriptor's argument (the part after ':').
-using StageBuilder =
-    std::function<Result<std::unique_ptr<ProtocolStage>>(const std::string& arg)>;
-
-/// Registers a stage kind for `kind:arg` descriptors. Built-ins (filter,
-/// rank, cap) are pre-registered.
-Status RegisterStage(const std::string& kind, StageBuilder builder);
-
-/// Stage kinds currently registered (built-ins plus custom).
-std::vector<std::string> StageKinds();
 
 Result<std::unique_ptr<Protocol>> CompileComposedProtocol(
     const ProtocolSpec& spec, RequestStore* store);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "scheduler/backends/native_protocol.h"
 #include "scheduler/ir/compiled_protocol.h"
 #include "scheduler/ir/lower_sql.h"
 #include "sql/engine.h"

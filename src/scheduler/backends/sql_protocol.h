@@ -3,9 +3,9 @@
 //
 // Compile-first: the planned SELECT is lowered into the protocol IR
 // (scheduler/ir/) and executed over the store's typed mirrors with
-// incremental lock state — per-cycle cost like the hand-coded native
-// backend. Queries outside the IR dialect fall back transparently to the
-// interpreted engine (prepared once, re-run every cycle); prefixing the
+// incremental lock state, at O(pending + delta) per cycle. Queries outside
+// the IR dialect fall back transparently to the interpreted engine
+// (prepared once, re-run every cycle); prefixing the
 // spec text with "interp:" forces the interpreter, the differential-oracle
 // variant the equivalence tests and benches compare against.
 

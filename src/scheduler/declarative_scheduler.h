@@ -2,8 +2,8 @@
 //
 // Clients submit requests into the incoming queue; when the trigger fires
 // the scheduler (1) drains the queue into the pending-request relation,
-// (2) runs the active protocol — a SQL query, Datalog program, or native
-// backend — over pending ∪ history, (3) moves the qualified requests into
+// (2) runs the active protocol — a SQL query, Datalog program, or stage
+// pipeline — over pending ∪ history, (3) moves the qualified requests into
 // history and garbage-collects finished transactions, (4) resolves
 // declaratively detected deadlocks, and (5) dispatches the qualified batch
 // to the server. The scheduler is the single writer of the request store
@@ -175,8 +175,8 @@ class DeclarativeScheduler {
 
   /// Swaps the active protocol at runtime (recompiles through the factory;
   /// pending requests are preserved). This is the paper's flexibility claim
-  /// made concrete — and it works across backends: SQL to Datalog to native
-  /// to composed.
+  /// made concrete — and it works across backends: SQL to Datalog to a
+  /// stage pipeline to a custom backend.
   Status SwitchProtocol(const ProtocolSpec& spec);
 
   const ProtocolSpec& protocol() const;

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "scheduler/backends/native_protocol.h"
-
 namespace declsched::scheduler::ir {
 
 CompiledProtocol::CompiledProtocol(ProtocolSpec spec, RequestStore* store,

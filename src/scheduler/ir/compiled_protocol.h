@@ -1,12 +1,12 @@
 // CompiledProtocol: a Protocol backed by a lowered ProtocolPlan.
 //
-// The compiled form of a SQL or Datalog spec: the plan executes over the
-// store's typed state, the embedded executor's incremental caches ride the
-// scheduler's delta hooks, and per-cycle cost is O(pending qualification +
-// delta) like the hand-coded native backend — while the protocol's
-// semantics remain exactly the declarative text's (property-tested against
-// the interpreted engines, which stay available behind the "interp:" spec
-// prefix).
+// The compiled form of a SQL, Datalog or stage-pipeline spec — the one
+// protocol runtime: the plan executes over the store's typed state, the
+// embedded executor's incremental caches ride the scheduler's delta hooks,
+// and per-cycle cost is O(pending qualification + delta) — while the
+// protocol's semantics remain exactly the declarative text's
+// (property-tested against the interpreted engines, which stay available
+// behind the "interp:" spec prefix).
 //
 // Two executors implement the plan. The default is the vectorized columnar
 // one (selection-vector kernels over an incrementally maintained SoA
@@ -61,9 +61,8 @@ class CompiledProtocol : public Protocol {
   bool may_reorder_;
   bool use_vec_;
   /// Mutable: Schedule() is a read of the store even when it refreshes the
-  /// executor's cached state (the native-backend convention). Only the
-  /// executor selected by the spec is ever touched; the idle one stays an
-  /// empty shell.
+  /// executor's cached state. Only the executor selected by the spec is
+  /// ever touched; the idle one stays an empty shell.
   mutable PlanExecutor scalar_;
   mutable vec::VecPlanExecutor vec_;
 };

@@ -1,7 +1,8 @@
 #include "scheduler/ir/executor.h"
 
 #include <algorithm>
-#include <tuple>
+#include <climits>
+#include <map>
 
 namespace declsched::scheduler::ir {
 
@@ -192,6 +193,32 @@ Status PlanExecutor::Apply(const PlanNode& node, const ScheduleContext& context,
           rows->size() > static_cast<size_t>(node.limit)) {
         rows->resize(static_cast<size_t>(node.limit));
       }
+      return Status::OK();
+    }
+    case PlanNode::Kind::kStarvationBoost: {
+      // Oldest pending arrival per tenant over the full pending universe.
+      // Min, not first-sight: preassigned ids from concurrent submitters
+      // need not arrive in id order.
+      std::map<int64_t, int64_t> oldest;
+      for (const auto& [id, r] : store->pending_by_id()) {
+        auto [it, inserted] = oldest.emplace(r.tenant, r.arrival.micros());
+        if (!inserted && r.arrival.micros() < it->second) {
+          it->second = r.arrival.micros();
+        }
+      }
+      bool any_starved = false;
+      for (auto& [tenant, arrival] : oldest) {
+        if (context.now.micros() - arrival >= node.wait_us) {
+          any_starved = true;
+        } else {
+          arrival = INT64_MAX;  // not starved: after every starved tenant
+        }
+      }
+      if (!any_starved) return Status::OK();
+      std::stable_sort(rows->begin(), rows->end(),
+                       [&oldest](const RowRef& a, const RowRef& b) {
+                         return oldest[a.req->tenant] < oldest[b.req->tenant];
+                       });
       return Status::OK();
     }
   }

@@ -3,10 +3,9 @@
 // One executor is owned by one compiled protocol instance and inherits its
 // threading contract (the owning scheduler's cycle thread). It carries the
 // protocol's incremental LockTableState: the owning protocol forwards the
-// scheduler's delta hooks here, so a cycle's lock analysis costs O(delta)
-// exactly like the native backend — and the same epoch/content-version
-// staleness handshake answers unnarrated store edits with a from-scratch
-// rebuild, never a stale result.
+// scheduler's delta hooks here, so a cycle's lock analysis costs O(delta),
+// and the epoch/content-version staleness handshake answers unnarrated
+// store edits with a from-scratch rebuild, never a stale result.
 //
 // Execution walks the pipeline over a stream of row refs (pointer to the
 // mirror's Request plus an optional pointer to the joined TenantAcct):

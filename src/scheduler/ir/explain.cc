@@ -5,6 +5,7 @@
 
 #include "datalog/engine.h"
 #include "scheduler/ir/lower_datalog.h"
+#include "scheduler/ir/lower_pipeline.h"
 #include "scheduler/ir/lower_sql.h"
 #include "sql/explain.h"
 #include "sql/parser.h"
@@ -112,8 +113,17 @@ std::string NodeLine(const PlanNode& node) {
     }
     case PlanNode::Kind::kLimit:
       return "Limit " + std::to_string(node.limit);
+    case PlanNode::Kind::kStarvationBoost:
+      return "StarvationBoost [oldest pending wait >= " +
+             std::to_string(node.wait_us) + "us]";
   }
   return "?";
+}
+
+std::string ExecutorLine(const ProtocolSpec& spec) {
+  return spec.ir_executor == "scalar"
+             ? "executor: scalar (row-at-a-time oracle, forced by spec)\n"
+             : "executor: vectorized (columnar, selection vectors)\n";
 }
 
 }  // namespace
@@ -146,11 +156,7 @@ Result<std::string> ExplainProtocol(const ProtocolSpec& spec,
         spec.backend == "sql" ? LowerSqlSpec(resolved, *store->catalog())
                               : LowerDatalogSpec(resolved);
     if (!force_interp && lowered.ok()) {
-      const std::string executor =
-          spec.ir_executor == "scalar"
-              ? "executor: scalar (row-at-a-time oracle, forced by spec)\n"
-              : "executor: vectorized (columnar, selection vectors)\n";
-      return header + "compiled protocol IR:\n" + executor +
+      return header + "compiled protocol IR:\n" + ExecutorLine(spec) +
              ExplainProtocolPlan(*lowered);
     }
     std::string out = header;
@@ -171,11 +177,11 @@ Result<std::string> ExplainProtocol(const ProtocolSpec& spec,
     }
     return out;
   }
-  if (spec.backend == "native") {
-    return header + "hand-coded C++ variant: " + spec.text + "\n";
-  }
   if (spec.backend == "composed") {
-    return header + "stage pipeline: " + spec.text + "\n";
+    DS_ASSIGN_OR_RETURN(ProtocolPlan lowered, LowerPipelineSpec(spec));
+    return header + "stage pipeline: " + spec.text + "\n" +
+           "compiled protocol IR:\n" + ExecutorLine(spec) +
+           ExplainProtocolPlan(lowered);
   }
   return header;
 }

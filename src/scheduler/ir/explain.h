@@ -1,11 +1,11 @@
 // ExplainProtocol: render what a protocol spec compiles to.
 //
-// For SQL/Datalog specs that lower, the output is the optimized IR
-// operator tree (the compiled artifact the executor runs); for specs that
-// fall back to the interpreted engines, the SQL physical plan
-// (sql::ExplainPlan) or the validated Datalog program, with the lowering
-// error that forced the fallback; for native/composed/passthrough specs, a
-// one-line description of the hand-coded path.
+// For SQL/Datalog specs that lower, and for every composed stage pipeline,
+// the output is the optimized IR operator tree (the compiled artifact the
+// executor runs); for SQL/Datalog specs that fall back to the interpreted
+// engines, the SQL physical plan (sql::ExplainPlan) or the validated
+// Datalog program, with the lowering error that forced the fallback; for
+// passthrough, just the header.
 
 #ifndef DECLSCHED_SCHEDULER_IR_EXPLAIN_H_
 #define DECLSCHED_SCHEDULER_IR_EXPLAIN_H_

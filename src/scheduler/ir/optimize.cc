@@ -42,18 +42,23 @@ bool RankObservable(const std::vector<std::unique_ptr<PlanNode>>& nodes,
                     size_t i, bool ordered) {
   for (size_t j = i + 1; j < nodes.size(); ++j) {
     if (nodes[j]->kind == PlanNode::Kind::kLimit) return true;
-    // A later rank re-sorts the whole stream, hiding this one.
+    // A later rank re-sorts the whole stream, hiding this one. A later
+    // starvation boost does not: it is a stable re-order, so this rank
+    // still orders every run of equally-boosted requests.
     if (nodes[j]->kind == PlanNode::Kind::kRank) return false;
   }
   return ordered;
 }
 
 /// True if the stream below node `i` is in ascending-id order (the scan
-/// emits it; only rank nodes disturb it).
+/// emits it; only rank and starvation-boost nodes disturb it).
 bool InputIdOrdered(const std::vector<std::unique_ptr<PlanNode>>& nodes,
                     size_t i) {
   for (size_t j = 0; j < i; ++j) {
-    if (nodes[j]->kind == PlanNode::Kind::kRank) return false;
+    if (nodes[j]->kind == PlanNode::Kind::kRank ||
+        nodes[j]->kind == PlanNode::Kind::kStarvationBoost) {
+      return false;
+    }
   }
   return true;
 }

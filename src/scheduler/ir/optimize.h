@@ -13,6 +13,10 @@
 //     a limit is dropped (the scheduler dispatches by id anyway);
 //   * join elision: a tenants join no rank key reads is dropped.
 //
+// A starvation boost defines order like a rank but is a stable re-order:
+// it never shadows an earlier rank, and per-row drops commute with it
+// (its keys come from the full pending universe, not the stream).
+//
 // Every rule preserves semantics exactly: the lock anti-join judges
 // pending-pending conflicts against the full pending universe (not the
 // incoming stream), so filters commute with it; ranks/joins are only

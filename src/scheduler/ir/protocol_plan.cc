@@ -29,10 +29,12 @@ bool ProtocolPlan::NeedsTenants() const {
 }
 
 bool ProtocolPlan::MayReorder() const {
-  // Only rank nodes disturb the scan's ascending-id order; filters,
-  // anti-joins, joins and limits all preserve it.
-  return AnyNode(root.get(),
-                 [](const PlanNode& n) { return n.kind == PlanNode::Kind::kRank; });
+  // Only rank and starvation-boost nodes disturb the scan's ascending-id
+  // order; filters, anti-joins, joins and limits all preserve it.
+  return AnyNode(root.get(), [](const PlanNode& n) {
+    return n.kind == PlanNode::Kind::kRank ||
+           n.kind == PlanNode::Kind::kStarvationBoost;
+  });
 }
 
 }  // namespace declsched::scheduler::ir

@@ -1,24 +1,26 @@
-// ProtocolPlan: the unified relational IR both declarative languages lower
-// into (the tentpole of ISSUE 5).
+// ProtocolPlan: the unified relational IR every protocol front-end lowers
+// into — SQL, Datalog, and composed stage pipelines.
 //
 // A protocol, whichever language states it, is a linear relational pipeline
 // over the scheduler's typed state: scan the pending relation, anti-join
 // away requests blocked by history-implied locks or by older pending
 // conflicts, anti-join away requests of throttled tenants, join tenant
 // accounting for fairness keys, rank, limit. SQL SELECTs (via the planner's
-// physical plan) and Datalog programs (via the rule AST) are *lowered* into
-// this IR once at compile time; every cycle then executes the plan directly
-// over RequestStore's typed mirrors and an incremental LockTableState — no
-// per-row Value decode, no EDB copy, no re-derivation of lock state. The
-// interpreted engines stay in-tree behind the "interp:" spec-text prefix as
-// differential oracles (the `scratch:ss2pl` precedent).
+// physical plan), Datalog programs (via the rule AST) and composed stage
+// pipelines (stage by stage) are *lowered* into this IR once at compile
+// time; every cycle then executes the plan directly over RequestStore's
+// typed mirrors and an incremental LockTableState — no per-row Value
+// decode, no EDB copy, no re-derivation of lock state. The interpreted
+// engines stay in-tree behind the "interp:" spec-text prefix as
+// differential oracles.
 //
 // The IR is deliberately small: it names the relational idioms scheduling
 // protocols actually use (the paper's Listing 1 family and its SLA/QoS
-// extensions), not all of SQL. Lowering returns Unsupported for anything
-// outside the dialect and the backend falls back to the interpreted engine,
-// so arbitrary hand-written protocol queries keep working — they just do
-// not get the compiled fast path.
+// extensions), not all of SQL; only the starvation guard, which has no
+// relational spelling, is an operator of its own. Lowering returns
+// Unsupported for anything outside the dialect and the backend falls back
+// to the interpreted engine, so arbitrary hand-written protocol queries
+// keep working — they just do not get the compiled fast path.
 
 #ifndef DECLSCHED_SCHEDULER_IR_PROTOCOL_PLAN_H_
 #define DECLSCHED_SCHEDULER_IR_PROTOCOL_PLAN_H_
@@ -158,6 +160,12 @@ struct PlanNode {
     kRank,
     /// Keep the first `limit` requests of the stream.
     kLimit,
+    /// Starvation guard: a stable re-order that moves requests of tenants
+    /// whose oldest pending request (judged against the full pending
+    /// universe, like the lock anti-join) has waited >= `wait_us` micros
+    /// at `ScheduleContext::now` to the front, most-starved tenant first.
+    /// Everything else keeps its stream order. No SQL or Datalog form.
+    kStarvationBoost,
   };
 
   Kind kind = Kind::kScanPending;
@@ -171,6 +179,7 @@ struct PlanNode {
   /// (Datalog: ids missing from the rank relation sort last).
   bool missing_acct_last = false;
   int64_t limit = -1;                      // kLimit
+  int64_t wait_us = 0;                     // kStarvationBoost
 
   static std::unique_ptr<PlanNode> Make(Kind kind) {
     auto n = std::make_unique<PlanNode>();
@@ -183,10 +192,12 @@ struct PlanNode {
 /// must know about it up front.
 struct ProtocolPlan {
   std::unique_ptr<PlanNode> root;
-  /// Which front-end produced it ("sql" or "datalog") — for EXPLAIN output.
+  /// Which front-end produced it ("sql", "datalog" or "pipeline") — for
+  /// EXPLAIN output.
   std::string source;
-  /// True if a kRank node defines the dispatch order; otherwise the
-  /// executor's output is ascending id (like every unordered protocol).
+  /// True if a kRank (or kStarvationBoost) node defines the dispatch
+  /// order; otherwise the protocol dispatches by ascending id (like every
+  /// unordered protocol).
   bool ordered = false;
 
   /// True if any node consults history-implied locks: the owning protocol
@@ -195,8 +206,8 @@ struct ProtocolPlan {
   /// True if any node reads the tenants accounting relation.
   bool NeedsTenants() const;
   /// True if the pipeline may emit something other than ascending-id order
-  /// (it contains a rank node; every other operator preserves the
-  /// id-ordered scan).
+  /// (it contains a rank or starvation-boost node; every other operator
+  /// preserves the id-ordered scan).
   bool MayReorder() const;
 };
 

@@ -81,6 +81,11 @@ Result<RequestBatch> VecPlanExecutor::Execute(const ProtocolPlan& plan,
         }
         break;
       }
+      case PlanNode::Kind::kStarvationBoost: {
+        StarvationBoostSel(cols, context.now.micros(), node.wait_us, sel, acct,
+                           n, &arena_);
+        break;
+      }
     }
   }
 

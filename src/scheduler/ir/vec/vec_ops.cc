@@ -1,6 +1,8 @@
 #include "scheduler/ir/vec/vec_ops.h"
 
 #include <algorithm>
+#include <climits>
+#include <map>
 
 namespace declsched::scheduler::ir::vec {
 
@@ -66,6 +68,20 @@ int32_t FilterOnePredicate(const PendingColumns& cols,
                         [col, v](int32_t, int32_t s) { return col[s] >= v; });
   }
   return n;
+}
+
+/// Reorders `sel` (and `acct` in lockstep when non-null) by the position
+/// permutation `perm`, through arena scratch so a later node still sees
+/// aligned arrays.
+void ApplyPermutation(const int32_t* perm, int32_t* sel, int32_t* acct,
+                      int32_t n, Arena* arena) {
+  int32_t* tmp = arena->AllocArray<int32_t>(static_cast<size_t>(n));
+  for (int32_t i = 0; i < n; ++i) tmp[i] = sel[perm[i]];
+  std::copy(tmp, tmp + n, sel);
+  if (acct != nullptr) {
+    for (int32_t i = 0; i < n; ++i) tmp[i] = acct[perm[i]];
+    std::copy(tmp, tmp + n, acct);
+  }
 }
 
 }  // namespace
@@ -239,15 +255,38 @@ void RankSel(const PendingColumns& cols, const TenantColumns& tenants,
     }
     return id[sel[a]] < id[sel[b]];
   });
-  // Apply the permutation through arena scratch (sel and acct move in
-  // lockstep so a later node still sees aligned arrays).
-  int32_t* tmp = arena->AllocArray<int32_t>(static_cast<size_t>(n));
-  for (int32_t i = 0; i < n; ++i) tmp[i] = sel[perm[i]];
-  std::copy(tmp, tmp + n, sel);
-  if (acct != nullptr) {
-    for (int32_t i = 0; i < n; ++i) tmp[i] = acct[perm[i]];
-    std::copy(tmp, tmp + n, acct);
+  ApplyPermutation(perm, sel, acct, n, arena);
+}
+
+void StarvationBoostSel(const PendingColumns& cols, int64_t now_us,
+                        int64_t wait_us, int32_t* sel, int32_t* acct,
+                        int32_t n, Arena* arena) {
+  if (n <= 1) return;
+  // Oldest arrival per tenant over every live row — the full pending
+  // universe, not the selection, so an earlier limit or filter cannot
+  // hide a tenant's oldest request from the guard.
+  std::map<int64_t, int64_t> oldest;
+  for (size_t i = 0; i < cols.size(); ++i) {
+    if (cols.dead[i]) continue;
+    auto [it, inserted] = oldest.emplace(cols.tenant[i], cols.arrival[i]);
+    if (!inserted && cols.arrival[i] < it->second) it->second = cols.arrival[i];
   }
+  bool any_starved = false;
+  for (auto& [tenant, arrival] : oldest) {
+    if (now_us - arrival >= wait_us) {
+      any_starved = true;
+    } else {
+      arrival = INT64_MAX;  // not starved: sorts after every starved tenant
+    }
+  }
+  if (!any_starved) return;
+  int64_t* keys = arena->AllocArray<int64_t>(static_cast<size_t>(n));
+  for (int32_t i = 0; i < n; ++i) keys[i] = oldest[cols.tenant[sel[i]]];
+  int32_t* perm = arena->AllocArray<int32_t>(static_cast<size_t>(n));
+  for (int32_t i = 0; i < n; ++i) perm[i] = i;
+  std::stable_sort(perm, perm + n,
+                   [keys](int32_t a, int32_t b) { return keys[a] < keys[b]; });
+  ApplyPermutation(perm, sel, acct, n, arena);
 }
 
 }  // namespace declsched::scheduler::ir::vec

@@ -69,6 +69,14 @@ void RankSel(const PendingColumns& cols, const TenantColumns& tenants,
              const PlanNode& node, int32_t* sel, int32_t* acct, int32_t n,
              Arena* arena);
 
+/// Starvation guard: stable re-order of the selection that moves requests
+/// of tenants whose oldest live pending arrival is at least `wait_us` older
+/// than `now_us` to the front, most-starved tenant first (the scalar
+/// executor's kStarvationBoost). Permutes `acct` in lockstep when non-null.
+void StarvationBoostSel(const PendingColumns& cols, int64_t now_us,
+                        int64_t wait_us, int32_t* sel, int32_t* acct,
+                        int32_t n, Arena* arena);
+
 }  // namespace declsched::scheduler::ir::vec
 
 #endif  // DECLSCHED_SCHEDULER_IR_VEC_VEC_OPS_H_

@@ -69,8 +69,7 @@ PendingConflicts::PendingConflicts(
   for (const auto& [id, r] : pending_by_id) Add(r);
 }
 
-LockTable BuildLockTableRestricted(
-    RequestStore* store, const std::unordered_set<ObjectId>* relevant) {
+LockTable BuildLockTable(RequestStore* store) {
   LockTable locks;
   const storage::Table* history = store->catalog()->GetTable("history");
 
@@ -92,7 +91,6 @@ LockTable BuildLockTableRestricted(
       return;
     }
     const ObjectId object = row[RequestStore::kColObject].AsInt64();
-    if (relevant != nullptr && relevant->count(object) == 0) return;
     if (op == txn::OpType::kWrite) InsertHolder(&wrote, object, ta);
     ops.push_back(HistOp{op, ta, object});
   });
@@ -111,10 +109,6 @@ LockTable BuildLockTableRestricted(
     }
   }
   return locks;
-}
-
-LockTable BuildLockTable(RequestStore* store) {
-  return BuildLockTableRestricted(store, /*relevant=*/nullptr);
 }
 
 const LockTable& LockTableState::Refresh(const RequestStore& store) {
@@ -238,10 +232,8 @@ void LockTableState::Rebuild(const RequestStore& store) {
   ++full_rebuilds_;
 }
 
-RequestBatch FilterSs2pl(const LockTable& locks, const RequestBatch& pending,
-                         const RequestBatch* conflict_universe) {
-  const PendingConflicts conflicts(
-      conflict_universe != nullptr ? *conflict_universe : pending);
+RequestBatch FilterSs2pl(const LockTable& locks, const RequestBatch& pending) {
+  const PendingConflicts conflicts(pending);
   RequestBatch qualified;
   qualified.reserve(pending.size());
   for (const Request& r : pending) {
@@ -250,24 +242,6 @@ RequestBatch FilterSs2pl(const LockTable& locks, const RequestBatch& pending,
     if (is_write && LockedByOther(locks.rlocks, r.object, r.ta)) continue;
     if (conflicts.OlderWriteExists(r)) continue;
     if (is_write && conflicts.OlderRequestExists(r)) continue;
-    qualified.push_back(r);
-  }
-  return qualified;
-}
-
-RequestBatch FilterReadCommitted(const LockTable& locks,
-                                 const RequestBatch& pending,
-                                 const RequestBatch* conflict_universe) {
-  const PendingConflicts conflicts(
-      conflict_universe != nullptr ? *conflict_universe : pending);
-  RequestBatch qualified;
-  qualified.reserve(pending.size());
-  for (const Request& r : pending) {
-    if (r.op == txn::OpType::kWrite &&
-        (LockedByOther(locks.wlocks, r.object, r.ta) ||
-         conflicts.OlderWriteExists(r))) {
-      continue;
-    }
     qualified.push_back(r);
   }
   return qualified;

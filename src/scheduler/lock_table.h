@@ -1,5 +1,5 @@
-// Lock analysis over the history relation — the shared core of the native
-// and composed backends.
+// Lock analysis over the history relation — the lock side of every
+// compiled protocol's lock anti-join.
 //
 // A LockTable is the set of locks implied by history under SS2PL: a write
 // row of an unfinished transaction write-locks its object; a read row
@@ -50,13 +50,6 @@ struct LockTable {
 /// From-scratch derivation: one full scan of the store's history table.
 /// The reference implementation the incremental state is tested against.
 LockTable BuildLockTable(RequestStore* store);
-
-/// As BuildLockTable, but lock sets are only materialized for objects in
-/// `relevant` (lock rows on objects no pending request touches can never
-/// block). Answers identically to the unrestricted table for every object
-/// in `relevant`. Null means all objects.
-LockTable BuildLockTableRestricted(
-    RequestStore* store, const std::unordered_set<txn::ObjectId>* relevant);
 
 /// Incrementally maintained LockTable. Owned by a protocol instance; fed by
 /// the scheduler's delta hooks; consulted once per cycle via Refresh().
@@ -127,10 +120,10 @@ class LockTableState {
 };
 
 /// Per-object oldest pending transaction (any op / writes only) — the
-/// native form of the declarative pending-pending conflict rules: a request
+/// typed form of the declarative pending-pending conflict rules: a request
 /// is blocked by any strictly older pending request on its object when
 /// either side is a write. Built once per qualification pass from the full
-/// pending set; shared by the native filter functions and the IR executor.
+/// pending set; shared by FilterSs2pl and the IR executors.
 struct PendingConflicts {
   std::unordered_map<txn::ObjectId, txn::TxnId> oldest_any;
   std::unordered_map<txn::ObjectId, txn::TxnId> oldest_write;
@@ -157,21 +150,10 @@ bool LockedByOther(
     const std::unordered_map<txn::ObjectId, std::vector<txn::TxnId>>& locks,
     txn::ObjectId object, txn::TxnId self);
 
-/// SS2PL qualification: drops requests blocked by a lock of another
-/// transaction or by an older conflicting pending request. Pending-pending
-/// conflicts are judged against `conflict_universe` when given (normally
-/// the store's complete pending set), else against `pending` itself — so a
-/// composed filter stage stays SS2PL-exact even after an earlier stage
-/// shrank the batch.
-RequestBatch FilterSs2pl(const LockTable& locks, const RequestBatch& pending,
-                         const RequestBatch* conflict_universe = nullptr);
-
-/// Read-committed qualification: only writes block (on write locks and on
-/// older pending writes); readers always qualify. `conflict_universe` as in
-/// FilterSs2pl.
-RequestBatch FilterReadCommitted(const LockTable& locks,
-                                 const RequestBatch& pending,
-                                 const RequestBatch* conflict_universe = nullptr);
+/// SS2PL qualification of a complete pending set: drops requests blocked
+/// by a lock of another transaction or by an older conflicting pending
+/// request — the paper's Listing 1 as one C++ pass, for custom backends.
+RequestBatch FilterSs2pl(const LockTable& locks, const RequestBatch& pending);
 
 }  // namespace declsched::scheduler
 

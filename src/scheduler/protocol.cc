@@ -1,17 +1,18 @@
 #include "scheduler/protocol.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "scheduler/backends/composed_protocol.h"
 #include "scheduler/backends/datalog_protocol.h"
-#include "scheduler/backends/native_protocol.h"
 #include "scheduler/backends/passthrough_protocol.h"
 #include "scheduler/backends/sql_protocol.h"
 
 namespace declsched::scheduler {
 
 int ProtocolSpec::CodeSize() const {
-  if (backend == "passthrough" || backend == "native") return 0;
+  if (backend == "passthrough") return 0;
   if (backend == "composed") {
     int stages = 0;
     for (const std::string& stage : Split(text, '|')) {
@@ -36,7 +37,6 @@ ProtocolFactory& ProtocolFactory::Global() {
     DS_CHECK_OK(f->RegisterBackend("sql", CompileSqlProtocol));
     DS_CHECK_OK(f->RegisterBackend("datalog", CompileDatalogProtocol));
     DS_CHECK_OK(f->RegisterBackend("passthrough", CompilePassthroughProtocol));
-    DS_CHECK_OK(f->RegisterBackend("native", CompileNativeProtocol));
     DS_CHECK_OK(f->RegisterBackend("composed", CompileComposedProtocol));
     return f;
   }();
@@ -79,6 +79,11 @@ Result<std::unique_ptr<Protocol>> ProtocolFactory::Compile(
                                       spec.name.c_str(), spec.backend.c_str()));
   }
   return it->second(spec, store);
+}
+
+void RankById(RequestBatch* batch) {
+  std::sort(batch->begin(), batch->end(),
+            [](const Request& a, const Request& b) { return a.id < b.id; });
 }
 
 }  // namespace declsched::scheduler

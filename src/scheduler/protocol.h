@@ -4,11 +4,10 @@
 // (its text plus which backend evaluates it); a Protocol is that spec
 // compiled against one RequestStore. Backends are registered by name in a
 // ProtocolFactory, so new evaluation strategies — another query language, a
-// hand-coded native scheduler, a stage pipeline — plug in without touching
-// the scheduler. Swapping protocols is still a runtime operation — the
-// flexibility the paper contrasts against hand-coded schedulers — but the
-// hand-coded scheduler is now itself a backend behind the same interface
-// (the paper's Figure 2 comparison point, benchmarkable through one API).
+// custom scheduler — plug in without touching the scheduler. The built-in
+// SQL, Datalog and stage-pipeline front-ends all lower into one compiled
+// runtime (scheduler/ir/), and swapping protocols is a runtime operation —
+// the flexibility the paper contrasts against hand-coded schedulers.
 
 #ifndef DECLSCHED_SCHEDULER_PROTOCOL_H_
 #define DECLSCHED_SCHEDULER_PROTOCOL_H_
@@ -25,7 +24,6 @@
 
 namespace declsched::scheduler {
 
-struct LockTable;
 class TenantAccountant;
 
 /// Cross-shard escrow state visible to a shard's protocol: transactions
@@ -44,14 +42,6 @@ struct EscrowedLocks {
 struct ScheduleContext {
   RequestStore* store = nullptr;
   SimTime now;
-  /// Set by protocols that maintain incremental lock state (the composed
-  /// backend fills it before running its stages); null means derive locks
-  /// from the store when needed.
-  const LockTable* locks = nullptr;
-  /// The cycle's complete pending set, filled once by the composed backend
-  /// so later stages can judge pending-pending conflicts without re-copying
-  /// the store's mirror; null means fetch from the store when needed.
-  const RequestBatch* pending_universe = nullptr;
   /// Which scheduler shard is evaluating (0-based) and how many shards the
   /// scheduler runs. A single-shard DeclarativeScheduler reports 0 of 1.
   int shard = 0;
@@ -69,8 +59,8 @@ struct ScheduleContext {
 
 /// The declarative description of a scheduling protocol. `backend` names the
 /// evaluation strategy in the ProtocolFactory; `text` is backend-specific:
-/// a SQL SELECT, a Datalog program, a native variant name ("ss2pl", "edf",
-/// ...), or a composed stage pipeline ("filter:ss2pl | rank:edf | cap:16").
+/// a SQL SELECT, a Datalog program, or a composed stage pipeline
+/// ("filter:ss2pl | rank:edf | cap:16").
 struct ProtocolSpec {
   std::string name;
   std::string description;
@@ -91,12 +81,12 @@ struct ProtocolSpec {
   /// Which executor a compiled (IR-lowered) protocol runs its plan on:
   /// "" / "vec" = the vectorized columnar executor (the default), "scalar"
   /// = the row-at-a-time executor, kept as the differential oracle.
-  /// Ignored by specs that never lower (interpreted, native, composed).
+  /// Ignored by specs that never lower (interpreted, passthrough).
   std::string ir_executor;
 
   /// Size metric for the paper's Section 3.4 productivity comparison:
   /// non-empty, non-comment lines (SQL), rules (Datalog), stages (composed).
-  /// Zero for backends without declarative text (passthrough, native).
+  /// Zero for backends without declarative text (passthrough).
   int CodeSize() const;
 };
 
@@ -148,8 +138,8 @@ class Protocol {
 };
 
 /// Registry of protocol backends, keyed by backend name. `Global()` comes
-/// pre-loaded with the built-ins (sql, datalog, passthrough, native,
-/// composed); custom backends register a compile function:
+/// pre-loaded with the built-ins (sql, datalog, passthrough, composed);
+/// custom backends register a compile function:
 ///
 ///   factory.RegisterBackend("mydsl",
 ///       [](const ProtocolSpec& spec, RequestStore* store)
@@ -176,6 +166,10 @@ class ProtocolFactory {
  private:
   std::map<std::string, CompileFn> backends_;
 };
+
+/// Sorts `batch` by ascending request id — the dispatch order of every
+/// unordered protocol.
+void RankById(RequestBatch* batch);
 
 }  // namespace declsched::scheduler
 

@@ -261,65 +261,60 @@ ProtocolSpec Passthrough() {
 
 namespace {
 
-ProtocolSpec NativeSpec(const char* name, const char* variant,
-                        const char* description, bool ordered) {
+/// The `*-native` names: the policies Figure 2's hand-coded scheduler
+/// implemented, now spelled as stage pipelines and compiled like every
+/// other spec.
+ProtocolSpec PipelineSpec(const char* name, const char* pipeline,
+                          const char* description) {
   ProtocolSpec spec;
   spec.name = name;
   spec.description = description;
-  spec.backend = "native";
-  spec.text = variant;
-  spec.ordered = ordered;
+  spec.backend = "composed";
+  spec.text = pipeline;
   return spec;
 }
 
 }  // namespace
 
 ProtocolSpec Ss2plNative() {
-  return NativeSpec("ss2pl-native", "ss2pl",
-                    "Strong 2PL hand-coded in C++ (Figure 2's scheduler)",
-                    /*ordered=*/false);
+  return PipelineSpec("ss2pl-native", "filter:ss2pl | rank:fcfs",
+                      "Strong 2PL as a stage pipeline (Figure 2's policy)");
 }
 
 ProtocolSpec FcfsNative() {
-  return NativeSpec("fcfs-native", "fcfs",
-                    "FCFS hand-coded in C++, no consistency control",
-                    /*ordered=*/true);
+  return PipelineSpec("fcfs-native", "filter:none | rank:fcfs",
+                      "FCFS as a stage pipeline, no consistency control");
 }
 
 ProtocolSpec SlaPriorityNative() {
-  return NativeSpec("sla-priority-native", "sla-priority",
-                    "SS2PL-safe, premium-first dispatch, hand-coded in C++",
-                    /*ordered=*/true);
+  return PipelineSpec("sla-priority-native", "filter:ss2pl | rank:priority",
+                      "SS2PL-safe, premium-first dispatch, as a pipeline");
 }
 
 ProtocolSpec EdfNative() {
-  return NativeSpec("edf-native", "edf",
-                    "SS2PL-safe, earliest-deadline-first, hand-coded in C++",
-                    /*ordered=*/true);
+  return PipelineSpec("edf-native", "filter:ss2pl | rank:edf",
+                      "SS2PL-safe, earliest-deadline-first, as a pipeline");
 }
 
 ProtocolSpec ReadCommittedNative() {
-  return NativeSpec("read-committed-native", "read-committed",
-                    "Relaxed read-committed hand-coded in C++",
-                    /*ordered=*/false);
+  return PipelineSpec("read-committed-native",
+                      "filter:read-committed | rank:fcfs",
+                      "Relaxed read-committed as a stage pipeline");
 }
 
 ProtocolSpec WfqNative() {
-  return NativeSpec("wfq-native", "wfq",
-                    "Weighted-fair tenant dispatch, hand-coded in C++",
-                    /*ordered=*/true);
+  return PipelineSpec("wfq-native", "filter:ss2pl | fair_rank:vtime",
+                      "Weighted-fair tenant dispatch as a stage pipeline");
 }
 
 ProtocolSpec DrrNative() {
-  return NativeSpec("drr-native", "drr",
-                    "Deficit-round fair tenant dispatch, hand-coded in C++",
-                    /*ordered=*/true);
+  return PipelineSpec("drr-native", "filter:ss2pl | fair_rank:round",
+                      "Deficit-round fair tenant dispatch as a pipeline");
 }
 
 ProtocolSpec TenantCapNative() {
-  return NativeSpec("tenant-cap-native", "tenant-cap",
-                    "Tenant throttling (cap/tokens), hand-coded in C++",
-                    /*ordered=*/false);
+  return PipelineSpec("tenant-cap-native", "filter:ss2pl | tenant_cap",
+                      "Tenant throttling (cap/tokens) as a stage pipeline");
 }
 
 ProtocolSpec ComposedWfq() {
@@ -449,7 +444,10 @@ ProtocolSpec InterpretedVariant(ProtocolSpec spec) {
 }
 
 ProtocolSpec ScalarExecVariant(ProtocolSpec spec) {
-  if (spec.backend != "sql" && spec.backend != "datalog") return spec;
+  if (spec.backend != "sql" && spec.backend != "datalog" &&
+      spec.backend != "composed") {
+    return spec;
+  }
   if (spec.text.rfind("interp:", 0) == 0) return spec;  // never lowers
   if (spec.ir_executor == "scalar") return spec;        // already forced
   spec.name = "scalar:" + spec.name;

@@ -1,8 +1,9 @@
 // Built-in protocol library across every backend.
 //
 // Covers the paper's three goals (Section 3.1): (a) traditional consistency
-// protocols — SS2PL in SQL (Listing 1, verbatim), in Datalog, and hand-coded
-// native C++ (the paper's Figure 2 comparison point); (b) SLA scheduling —
+// protocols — SS2PL in SQL (Listing 1, verbatim), in Datalog, and as a stage
+// pipeline (the policy of the paper's Figure 2 hand-coded scheduler, kept
+// under its `*-native` name); (b) SLA scheduling —
 // priority tiers and earliest-deadline-first; (c) application-specific
 // consistency — a relaxed read-committed protocol that never blocks readers,
 // plus composed stage pipelines that mix consistency, ranking, and admission
@@ -25,27 +26,27 @@ namespace declsched::scheduler {
 ProtocolSpec Ss2plSql();
 /// Strong 2PL as Datalog (the Section 5 "more succinct language").
 ProtocolSpec Ss2plDatalog();
-/// Strong 2PL hand-coded in C++ (native backend, Figure 2's scheduler).
+/// Strong 2PL as the pipeline `filter:ss2pl | rank:fcfs` (Figure 2's policy).
 ProtocolSpec Ss2plNative();
 /// First-come-first-served without consistency guarantees: every pending
 /// request qualifies, in arrival order.
 ProtocolSpec FcfsSql();
-/// FCFS hand-coded in C++ (native backend).
+/// FCFS as the pipeline `filter:none | rank:fcfs`.
 ProtocolSpec FcfsNative();
 /// SS2PL-safe requests dispatched premium-first (priority column, then id).
 ProtocolSpec SlaPrioritySql();
-/// The same SLA policy hand-coded in C++ (native backend).
+/// The same SLA policy as the pipeline `filter:ss2pl | rank:priority`.
 ProtocolSpec SlaPriorityNative();
 /// SS2PL-safe requests dispatched by earliest deadline (0 = none, last).
 ProtocolSpec EdfSql();
-/// The same EDF policy hand-coded in C++ (native backend).
+/// The same EDF policy as the pipeline `filter:ss2pl | rank:edf`.
 ProtocolSpec EdfNative();
 /// Relaxed consistency: readers never block; writers respect write locks
 /// (no read locks at all) — lost-update-free but not serializable.
 ProtocolSpec ReadCommittedSql();
 /// The same relaxed protocol in Datalog.
 ProtocolSpec ReadCommittedDatalog();
-/// The same relaxed protocol hand-coded in C++ (native backend).
+/// The same relaxed protocol as `filter:read-committed | rank:fcfs`.
 ProtocolSpec ReadCommittedNative();
 /// Non-scheduling passthrough (paper Section 3.3 last paragraph).
 ProtocolSpec Passthrough();
@@ -70,7 +71,11 @@ ProtocolSpec DrrNative();
 ProtocolSpec TenantCapSql();
 ProtocolSpec TenantCapDatalog();
 ProtocolSpec TenantCapNative();
-/// The same three policies as composed stage pipelines.
+/// The same three policies as composed stage pipelines. The `*Native()`
+/// specs above carry the same pipelines under the names of the retired
+/// hand-coded backend. In a pipeline, a request whose tenant has no
+/// tenants row ranks at vtime/round 0 (SQL's inner join drops it, the
+/// Datalog rank relation sorts it last).
 ProtocolSpec ComposedWfq();
 ProtocolSpec ComposedDrr();
 ProtocolSpec ComposedTenantCap();
@@ -87,15 +92,15 @@ ProtocolSpec ComposedSs2plPriority(int64_t cap = 0);
 /// semantics, but evaluated by the interpreter instead of being lowered to
 /// the protocol IR ("interp:" text prefix; name prefixed the same way).
 /// The differential oracle the equivalence tests and benches run compiled
-/// variants against — the `scratch:ss2pl` precedent, for the declarative
-/// backends. Specs of other backends are returned unchanged.
+/// variants against. Specs of other backends are returned unchanged.
 ProtocolSpec InterpretedVariant(ProtocolSpec spec);
 
-/// The scalar-executor variant of a SQL or Datalog spec: lowers to the same
-/// protocol IR, but the compiled protocol runs the row-at-a-time executor
-/// instead of the vectorized default ("scalar:" name prefix; ir_executor =
-/// "scalar"). The in-IR differential oracle the vec executor is tested and
-/// benched against. Specs that never lower are returned unchanged.
+/// The scalar-executor variant of a SQL, Datalog or composed spec: lowers to
+/// the same protocol IR, but the compiled protocol runs the row-at-a-time
+/// executor instead of the vectorized default ("scalar:" name prefix;
+/// ir_executor = "scalar"). The in-IR differential oracle the vec executor
+/// is tested and benched against. Specs that never lower are returned
+/// unchanged.
 ProtocolSpec ScalarExecVariant(ProtocolSpec spec);
 
 /// Name -> spec registry of every built-in; custom specs can be added.

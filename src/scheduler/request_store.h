@@ -81,7 +81,7 @@ struct TenantAcct {
   int64_t inflight = 0;
 
   /// The tenant-cap throttle predicate, shared by every formulation: the
-  /// native/composed C++ evaluates exactly what the SQL/Datalog texts say.
+  /// compiled plans evaluate exactly what the SQL/Datalog texts say.
   bool Throttled() const {
     return (cap > 0 && inflight >= cap) || (rate > 0 && tokens <= 0);
   }
@@ -178,7 +178,7 @@ class RequestStore {
   // --- the `tenants` accounting relation -------------------------------
   // Visible to SQL protocols as the `tenants` table and to Datalog as the
   // `tenantacct` EDB relation; the typed mirror below is the zero-decode
-  // path the native backend and composed stages read. InsertPending
+  // path the compiled plans read. InsertPending
   // auto-creates a default row for any tenant first seen on a pending
   // request, so fairness protocols can always inner-join requests with
   // tenants. Unlike requests/history, mutate this relation through
@@ -227,7 +227,7 @@ class RequestStore {
 
   /// Decodes a full 9-column `requests`/`history` row. The one place the
   /// column layout is interpreted; consumers scanning raw table rows (the
-  /// scratch native path, the mirror rebuild) must share it.
+  /// mirror rebuilds) must share it.
   static Request RowToRequestFull(const storage::Row& row);
 
   /// Row codecs of the `tenants` relation, shared with the snapshot/restore

@@ -11,13 +11,13 @@
 
 #include "net/wire/wire_codec.h"
 
-#include <cstdlib>
 #include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace declsched::net::wire {
 namespace {
@@ -214,22 +214,9 @@ TEST(WireCodecTest, UnknownOpsSurviveTheParser) {
 }
 
 std::vector<uint64_t> FuzzSeeds() {
-  std::vector<uint64_t> seeds = {1, 2, 3, 0xdead, 0xbeef, 0xc0ffee,
-                                 0x5eedf00d, 42424242};
-  if (const char* env = std::getenv("DECLSCHED_WIRE_FUZZ_SEEDS")) {
-    std::string spec(env);
-    size_t pos = 0;
-    while (pos < spec.size()) {
-      size_t comma = spec.find(',', pos);
-      if (comma == std::string::npos) comma = spec.size();
-      const std::string token = spec.substr(pos, comma - pos);
-      if (!token.empty()) {
-        seeds.push_back(std::strtoull(token.c_str(), nullptr, 0));
-      }
-      pos = comma + 1;
-    }
-  }
-  return seeds;
+  return testing::SeedsFromEnv("DECLSCHED_WIRE_FUZZ_SEEDS",
+                               {1, 2, 3, 0xdead, 0xbeef, 0xc0ffee, 0x5eedf00d,
+                                42424242});
 }
 
 TEST(WireCodecTest, MalformedByteFuzzNeverBreaksTheParser) {

@@ -3,7 +3,7 @@
 // does — exactly-once dispatch, no stall, conservation (every transaction
 // terminates; nothing left queued or pending), and accountant balance.
 //
-// The matrix crosses every built-in scenario with a seed set (override
+// The matrix crosses every built-in scenario with a seed set (extend it
 // with DECLSCHED_SOAK_SEEDS=csv), both scheduler stacks (unsharded, and
 // sharded cooperative), and three consistency policies (fixed strict,
 // fixed relaxed, adaptive). Overlay trials add mid-run forced protocol
@@ -22,6 +22,7 @@
 #include "scenario/scenario_spec.h"
 #include "scenario/synthesizer.h"
 #include "scheduler/protocol_library.h"
+#include "test_util.h"
 
 namespace declsched::scenario {
 namespace {
@@ -41,21 +42,7 @@ const char* PolicyName(Policy p) {
 }
 
 std::vector<uint64_t> SoakSeeds() {
-  std::vector<uint64_t> seeds;
-  if (const char* env = std::getenv("DECLSCHED_SOAK_SEEDS")) {
-    std::string buf;
-    for (const char* p = env;; ++p) {
-      if (*p == ',' || *p == '\0') {
-        if (!buf.empty()) seeds.push_back(std::strtoull(buf.c_str(), nullptr, 10));
-        buf.clear();
-        if (*p == '\0') break;
-      } else {
-        buf += *p;
-      }
-    }
-  }
-  if (seeds.empty()) seeds = {1, 101, 202, 303};
-  return seeds;
+  return testing::SeedsFromEnv("DECLSCHED_SOAK_SEEDS", {1, 101, 202, 303});
 }
 
 ScenarioRunnerOptions MakeOptions(bool sharded, Policy policy) {

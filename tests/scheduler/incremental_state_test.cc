@@ -1,8 +1,8 @@
-// Property tests for the incremental scheduler state (ISSUE 2 tentpole):
-// the delta-maintained LockTableState must answer exactly like a
-// from-scratch BuildLockTable() after arbitrary dispatch/abort/GC/switch
-// sequences, and the incremental native backend must dispatch exactly like
-// its stateless "scratch:" formulation across whole scheduler runs,
+// Property tests for the incremental scheduler state: the delta-maintained
+// LockTableState must answer exactly like a from-scratch BuildLockTable()
+// after arbitrary dispatch/abort/GC/switch sequences, and the incremental
+// compiled protocols must dispatch exactly like the stateless interpreted
+// Listing 1 oracle ("interp:ss2pl-sql") across whole scheduler runs,
 // protocol switches included.
 
 #include <algorithm>
@@ -238,19 +238,16 @@ TEST(LockTableStateTest, UnnarratedMutationFallsBackToRebuild) {
 
 /// Runs two schedulers in lockstep on identical submissions: `subject`
 /// hops across backends mid-run, `reference` stays on the stateless
-/// scratch-native formulation. Every cycle must dispatch identical request
+/// interpreted Listing 1 oracle. Every cycle must dispatch identical request
 /// sequences, and every submitted request must dispatch exactly once.
 void RunLockstep(const std::vector<ProtocolSpec>& rotation, uint64_t seed) {
   DeclarativeScheduler::Options options;
-  options.protocol = Ss2plNative();
+  options.protocol = rotation[0];
   DeclarativeScheduler subject(options, nullptr);
   ASSERT_TRUE(subject.Init().ok());
 
-  ProtocolSpec scratch = Ss2plNative();
-  scratch.name = "ss2pl-native-scratch";
-  scratch.text = "scratch:ss2pl";
   DeclarativeScheduler::Options ref_options;
-  ref_options.protocol = scratch;
+  ref_options.protocol = InterpretedVariant(Ss2plSql());
   DeclarativeScheduler reference(ref_options, nullptr);
   ASSERT_TRUE(reference.Init().ok());
 
@@ -327,13 +324,14 @@ void RunLockstep(const std::vector<ProtocolSpec>& rotation, uint64_t seed) {
   EXPECT_EQ(static_cast<int64_t>(dispatched_ids.size()), submitted);
 }
 
-TEST(IncrementalNativeTest, MatchesScratchNativeAcrossWholeRuns) {
+TEST(IncrementalProtocolTest, MatchesInterpretedOracleAcrossWholeRuns) {
   RunLockstep({Ss2plNative()}, /*seed=*/101);
   RunLockstep({Ss2plNative()}, /*seed=*/202);
+  RunLockstep({Ss2plSql()}, /*seed=*/101);
 }
 
-TEST(IncrementalNativeTest, MatchesScratchAcrossProtocolSwitches) {
-  // Every switch compiles a fresh native instance whose incremental state
+TEST(IncrementalProtocolTest, MatchesInterpretedOracleAcrossSwitches) {
+  // Every switch compiles a fresh compiled instance whose incremental state
   // starts unsynced — it must rebuild and continue exactly where the
   // stateless reference is, with no dropped or duplicated dispatches.
   RunLockstep({Ss2plNative(), Ss2plSql(), Ss2plNative(), Ss2plDatalog()},

@@ -1,15 +1,18 @@
-// Unit tests for the protocol IR front-ends, optimizer and EXPLAIN:
+// Unit tests for the protocol IR front-ends (SQL, Datalog, stage
+// pipelines), optimizer and EXPLAIN:
 // lowered plan shapes per registry family, the optimizer's rewrite rules,
 // dialect boundaries (Unsupported -> interpreter fallback), and the
 // ExplainProtocol rendering.
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "scheduler/ir/compiled_protocol.h"
 #include "scheduler/ir/explain.h"
 #include "scheduler/ir/lower_datalog.h"
+#include "scheduler/ir/lower_pipeline.h"
 #include "scheduler/ir/lower_sql.h"
 #include "scheduler/ir/optimize.h"
 #include "scheduler/protocol_library.h"
@@ -36,8 +39,9 @@ const PlanNode* FindNode(const ProtocolPlan& plan, PlanNode::Kind kind) {
 }
 
 ProtocolPlan LowerSpec(const ProtocolSpec& spec, RequestStore* store) {
-  auto plan = spec.backend == "sql" ? LowerSqlSpec(spec, *store->catalog())
-                                    : LowerDatalogSpec(spec);
+  auto plan = spec.backend == "sql"       ? LowerSqlSpec(spec, *store->catalog())
+              : spec.backend == "datalog" ? LowerDatalogSpec(spec)
+                                          : LowerPipelineSpec(spec);
   EXPECT_TRUE(plan.ok()) << spec.name << ": " << plan.status().ToString();
   return plan.ok() ? std::move(plan).MoveValue() : ProtocolPlan{};
 }
@@ -343,9 +347,123 @@ TEST(IrLoweringTest, ExplainRendersCompiledAndFallbackForms) {
   ASSERT_TRUE(datalog.ok());
   EXPECT_NE(datalog->find("TenantJoin LEFT"), std::string::npos);
 
-  auto native = ExplainProtocol(Ss2plNative(), &store);
-  ASSERT_TRUE(native.ok());
-  EXPECT_NE(native->find("hand-coded C++ variant: ss2pl"), std::string::npos);
+  auto pipeline = ExplainProtocol(ComposedWfq(), &store);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  EXPECT_NE(pipeline->find("stage pipeline: filter:ss2pl | fair_rank:vtime"),
+            std::string::npos);
+  EXPECT_NE(pipeline->find("compiled protocol IR:"), std::string::npos);
+  EXPECT_NE(pipeline->find("TenantJoin LEFT"), std::string::npos);
+}
+
+std::string PlanText(const ProtocolSpec& spec, RequestStore* store) {
+  return ExplainProtocolPlan(LowerSpec(spec, store));
+}
+
+std::string Replace(std::string text, const std::string& from,
+                    const std::string& to) {
+  const size_t at = text.find(from);
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(PipelineLoweringTest, NativeNamesCompileToTheirDeclarativeTwinsPlans) {
+  // One runtime behind three front-ends: each pipeline lowers to exactly
+  // the plan its SQL (and Datalog, where one exists) twin lowers to.
+  RequestStore store;
+  struct Twins {
+    ProtocolSpec pipeline;
+    std::vector<ProtocolSpec> declarative;
+  };
+  const std::vector<Twins> families = {
+      {Ss2plNative(), {Ss2plSql(), Ss2plDatalog()}},
+      {FcfsNative(), {FcfsSql()}},
+      {SlaPriorityNative(), {SlaPrioritySql()}},
+      {ComposedSs2plPriority(), {SlaPrioritySql()}},
+      {EdfNative(), {EdfSql()}},
+      {ReadCommittedNative(), {ReadCommittedSql(), ReadCommittedDatalog()}},
+      {TenantCapNative(), {TenantCapSql(), TenantCapDatalog()}},
+      {ComposedTenantCap(), {TenantCapSql(), TenantCapDatalog()}},
+  };
+  for (const Twins& family : families) {
+    const std::string pipeline = PlanText(family.pipeline, &store);
+    for (const ProtocolSpec& twin : family.declarative) {
+      EXPECT_EQ(pipeline, PlanText(twin, &store))
+          << family.pipeline.name << " vs " << twin.name;
+    }
+  }
+  EXPECT_EQ(PlanText(Ss2plNative(), &store),
+            "LockAntiJoin [wlock->all, rlock->w, pend:w->all, pend:any->w]\n"
+            "  ScanPending\n");
+
+  // wfq/drr differ from their twins only in the documented missing-tenant
+  // rule: the pipeline LEFT-joins (absent tenant ranks at 0), SQL
+  // inner-joins (drops it), Datalog sorts it last.
+  for (const auto& [pipeline, sql, datalog] :
+       {std::make_tuple(WfqNative(), WfqSql(), WfqDatalog()),
+        std::make_tuple(ComposedWfq(), WfqSql(), WfqDatalog()),
+        std::make_tuple(DrrNative(), DrrSql(), DrrDatalog()),
+        std::make_tuple(ComposedDrr(), DrrSql(), DrrDatalog())}) {
+    const std::string text = PlanText(pipeline, &store);
+    EXPECT_EQ(text, Replace(PlanText(sql, &store), "TenantJoin [tenants]",
+                            "TenantJoin LEFT [tenants]"))
+        << pipeline.name;
+    EXPECT_EQ(text,
+              Replace(PlanText(datalog, &store), "; unranked last", ""))
+        << pipeline.name;
+  }
+}
+
+TEST(PipelineLoweringTest, StagesLowerToIrOperators) {
+  RequestStore store;
+  ProtocolSpec spec;
+  spec.name = "mix";
+  spec.backend = "composed";
+  spec.text =
+      "rank:priority | cap:4 | filter:ss2pl | tenant_cap | "
+      "starvation_boost:500";
+  const ProtocolPlan plan = LowerSpec(spec, &store);
+  EXPECT_TRUE(plan.ordered);
+  EXPECT_EQ(plan.source, "pipeline");
+  // The limit stays below the lock anti-join (cap before filter); the
+  // throttle is pushed down within its limit-delimited segment; the rank
+  // feeding the limit survives, and the boost tops the pipeline.
+  EXPECT_EQ(Kinds(plan),
+            (std::vector<PlanNode::Kind>{
+                PlanNode::Kind::kStarvationBoost,
+                PlanNode::Kind::kLockAntiJoin,
+                PlanNode::Kind::kThrottleAntiJoin, PlanNode::Kind::kLimit,
+                PlanNode::Kind::kRank, PlanNode::Kind::kScanPending}));
+  EXPECT_EQ(FindNode(plan, PlanNode::Kind::kStarvationBoost)->wait_us, 500);
+  EXPECT_EQ(FindNode(plan, PlanNode::Kind::kLimit)->limit, 4);
+  EXPECT_NE(ExplainProtocolPlan(plan).find(
+                "StarvationBoost [oldest pending wait >= 500us]"),
+            std::string::npos);
+
+  // filter:none lowers to nothing; a pipeline without a rank-like stage
+  // dispatches by id.
+  spec.text = "filter:none | cap:2";
+  const ProtocolPlan capped = LowerSpec(spec, &store);
+  EXPECT_FALSE(capped.ordered);
+  EXPECT_EQ(Kinds(capped),
+            (std::vector<PlanNode::Kind>{PlanNode::Kind::kLimit,
+                                         PlanNode::Kind::kScanPending}));
+}
+
+TEST(PipelineLoweringTest, BoostKeepsAnEarlierRankAndOrdersAFcfsRank) {
+  RequestStore store;
+  ProtocolSpec spec;
+  spec.name = "boosted";
+  spec.backend = "composed";
+  // A boost is a stable re-order: the priority rank below it still orders
+  // every run of equally-boosted requests, so the optimizer must keep it.
+  spec.text = "filter:ss2pl | rank:priority | starvation_boost:100";
+  EXPECT_NE(FindNode(LowerSpec(spec, &store), PlanNode::Kind::kRank), nullptr);
+  // An id rank *after* a boost is no identity: the boost broke id order.
+  spec.text = "starvation_boost:100 | rank:fcfs";
+  EXPECT_NE(FindNode(LowerSpec(spec, &store), PlanNode::Kind::kRank), nullptr);
+  // ...while an id rank over the plain scan is elided as before.
+  spec.text = "rank:fcfs | starvation_boost:100";
+  EXPECT_EQ(FindNode(LowerSpec(spec, &store), PlanNode::Kind::kRank), nullptr);
 }
 
 }  // namespace

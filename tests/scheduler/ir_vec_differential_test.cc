@@ -480,7 +480,7 @@ TEST(IrVecTest, VecMirrorStaysODeltaAcrossWholeRuns) {
 
 TEST(IrVecTest, LockstepAcrossExecutorAndBackendSwitches) {
   // Rotating vec-compiled, scalar-compiled, interpreted, Datalog, and
-  // native instances mid-run: every switch starts a fresh columnar mirror
+  // stage-pipeline instances mid-run: every switch starts a fresh columnar mirror
   // unsynced — it must resync and continue exactly where the scalar
   // reference is, with no dropped or duplicated dispatches.
   const ProtocolSpec sql = Ss2plSql();

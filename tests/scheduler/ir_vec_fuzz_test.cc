@@ -1,17 +1,16 @@
-// Seeded plan/batch fuzz for the vectorized executor (ISSUE 9 satellite):
-// random ProtocolPlan shapes — arbitrary chains of filter / lock anti-join /
-// throttle anti-join / tenants join / rank / limit over a pending scan, with
-// random predicates, conflict-rule subsets, rank keys, and limits — executed
+// Seeded plan/batch fuzz for the vectorized executor: random ProtocolPlan
+// shapes — arbitrary chains of filter / lock anti-join / throttle
+// anti-join / tenants join / rank / limit / starvation boost over a pending
+// scan, with random predicates, conflict-rule subsets, rank keys, limits
+// (also placed right before a lock anti-join, the `cap | filter` pipeline
+// shape) and boost thresholds — executed
 // against adversarial store states (empty store, single row, every row
 // filtered out, selection exactly at the limit boundary, deleted tenants
 // rows), cross-checked row-for-row between VecPlanExecutor and the scalar
-// PlanExecutor. The seed matrix is env-overridable via
-// DECLSCHED_VEC_FUZZ_SEEDS (csv), like the scenario soak's
-// DECLSCHED_SOAK_SEEDS.
+// PlanExecutor. DECLSCHED_VEC_FUZZ_SEEDS (csv) adds seeds to the default
+// matrix, like the scenario soak's DECLSCHED_SOAK_SEEDS.
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -21,24 +20,13 @@
 #include "scheduler/ir/explain.h"
 #include "scheduler/ir/vec/vec_executor.h"
 #include "scheduler/request_store.h"
+#include "test_util.h"
 
 namespace declsched::scheduler {
 namespace {
 
 std::vector<uint64_t> FuzzSeeds() {
-  std::vector<uint64_t> seeds;
-  if (const char* env = std::getenv("DECLSCHED_VEC_FUZZ_SEEDS")) {
-    const char* p = env;
-    while (*p != '\0') {
-      char* end = nullptr;
-      const uint64_t v = std::strtoull(p, &end, 10);
-      if (end == p) break;
-      seeds.push_back(v);
-      p = (*end == ',') ? end + 1 : end;
-    }
-  }
-  if (seeds.empty()) seeds = {5, 55, 555, 5555};
-  return seeds;
+  return testing::SeedsFromEnv("DECLSCHED_VEC_FUZZ_SEEDS", {5, 55, 555, 5555});
 }
 
 Request Op(int64_t id, txn::TxnId ta, int64_t intrata, txn::OpType op,
@@ -58,6 +46,10 @@ std::string DescribeBatch(const RequestBatch& batch) {
   return out;
 }
 
+/// "Now" for every fuzz execution; pending arrivals fall in [0, kNowUs), so
+/// random boost thresholds starve some tenants and not others.
+constexpr int64_t kNowUs = 1000;
+
 /// A random linear pipeline: always a pending scan at the leaf, then 0-6
 /// random operators. Shapes the lowerers never emit (filters after ranks,
 /// repeated joins, limit 0, rank with no keys) are deliberately in range —
@@ -71,7 +63,7 @@ ir::ProtocolPlan RandomPlan(Rng* rng) {
   const int ops = static_cast<int>(rng->UniformInt(0, 6));
   for (int i = 0; i < ops; ++i) {
     std::unique_ptr<ir::PlanNode> node;
-    switch (rng->UniformInt(0, 5)) {
+    switch (rng->UniformInt(0, 7)) {
       case 0: {
         node = ir::PlanNode::Make(ir::PlanNode::Kind::kFilter);
         const int preds = static_cast<int>(rng->UniformInt(1, 3));
@@ -130,6 +122,25 @@ ir::ProtocolPlan RandomPlan(Rng* rng) {
         node->limit = rng->UniformInt(0, 14);
         break;
       }
+      case 6:
+        node = ir::PlanNode::Make(ir::PlanNode::Kind::kStarvationBoost);
+        // Below, inside, and above the arrival spread: nobody, some, or
+        // every tenant starved.
+        node->wait_us = rng->UniformInt(1, kNowUs + 200);
+        break;
+      case 7: {
+        // A limit feeding a lock anti-join: the anti-join must still judge
+        // pending-pending conflicts against the full pending universe,
+        // not the truncated stream.
+        auto limit = ir::PlanNode::Make(ir::PlanNode::Kind::kLimit);
+        limit->limit = rng->UniformInt(0, 6);
+        limit->input = std::move(cur);
+        cur = std::move(limit);
+        node = ir::PlanNode::Make(ir::PlanNode::Kind::kLockAntiJoin);
+        node->conflicts = rng->Bernoulli(0.5) ? ir::ConflictRules::Ss2pl()
+                                              : ir::ConflictRules::ReadCommitted();
+        break;
+      }
     }
     node->input = std::move(cur);
     cur = std::move(node);
@@ -153,6 +164,9 @@ void PopulateStore(RequestStore* store, Rng* rng, int rows) {
                      ? SimTime()
                      : SimTime::FromMicros(rng->UniformInt(1, 100000));
     r.tenant = static_cast<int>(rng->UniformInt(0, 4));
+    // Deterministic in the row index, so the seeds' random streams (and
+    // with them every pre-existing store shape) stay as they were.
+    r.arrival = SimTime::FromMicros((i * 389) % kNowUs);
     batch.push_back(r);
   }
   if (!batch.empty()) {
@@ -217,6 +231,7 @@ TEST(IrVecFuzzTest, RandomPlansMatchScalarOnAdversarialStores) {
       ir::vec::VecPlanExecutor vec;
       ScheduleContext context{};
       context.store = &store;
+      context.now = SimTime::FromMicros(kNowUs);
       auto want = scalar.Execute(plan, context);
       auto got = vec.Execute(plan, context);
       ASSERT_TRUE(want.ok()) << want.status().ToString();

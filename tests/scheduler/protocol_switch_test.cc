@@ -1,8 +1,8 @@
 // Runtime protocol switching across backends: the paper's flexibility claim
 // (protocols are data) must hold when the replacement protocol runs on a
-// different backend entirely — SQL to Datalog to hand-coded native to a
-// composed stage pipeline — with pending requests preserved and every
-// dispatched request delivered exactly once.
+// different backend entirely — SQL to Datalog to a composed stage
+// pipeline to the interpreted oracle — with pending requests preserved and
+// every dispatched request delivered exactly once.
 
 #include <map>
 #include <set>
@@ -68,15 +68,12 @@ TEST(ProtocolSwitchTest, SwitchAcrossAllFourBackendsPreservesPending) {
 TEST(ProtocolSwitchTest, RotatingBackendsDispatchEachRequestExactlyOnce) {
   // Closed-loop clients: 6 transactions, each 3 writes (objects in ascending
   // order, so no deadlocks) plus a commit. The active protocol rotates
-  // through every backend every cycle — including the stateless scratch
-  // formulation of the native backend, so each hop back to incremental
-  // native lands on a fresh instance whose lock state must resync before
-  // answering. No dispatch may be lost or duplicated across switches.
-  ProtocolSpec scratch_native = Ss2plNative();
-  scratch_native.name = "ss2pl-native-scratch";
-  scratch_native.text = "scratch:ss2pl";
+  // through every backend every cycle — including the stateless interpreted
+  // oracle, so each hop back to a compiled protocol lands on a fresh
+  // instance whose lock state must resync before answering. No dispatch may
+  // be lost or duplicated across switches.
   const std::vector<ProtocolSpec> rotation = {
-      Ss2plSql(), Ss2plDatalog(), Ss2plNative(), scratch_native,
+      Ss2plSql(), Ss2plDatalog(), Ss2plNative(), InterpretedVariant(Ss2plSql()),
       ComposedSs2plPriority()};
 
   server::DatabaseServer::Config server_config;

@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
-#include "scheduler/backends/composed_protocol.h"
 #include "scheduler/protocol_library.h"
 
 namespace declsched::scheduler {
@@ -35,13 +34,14 @@ Result<RequestBatch> ScheduleOnce(const ProtocolSpec& spec, RequestStore* store)
 
 TEST(ProtocolFactoryTest, GlobalHasAllBuiltInBackends) {
   ProtocolFactory& factory = ProtocolFactory::Global();
-  for (const char* backend :
-       {"sql", "datalog", "passthrough", "native", "composed"}) {
+  for (const char* backend : {"sql", "datalog", "passthrough", "composed"}) {
     EXPECT_TRUE(factory.HasBackend(backend)) << backend;
   }
+  // No `native` backend: the `*-native` specs are stage pipelines.
+  EXPECT_FALSE(factory.HasBackend("native"));
   // >= rather than ==: registering a custom backend into Global() is a
   // documented extension point and must not break this test.
-  EXPECT_GE(factory.Backends().size(), 5u);
+  EXPECT_GE(factory.Backends().size(), 4u);
 }
 
 TEST(ProtocolFactoryTest, UnknownBackendIsNotFound) {
@@ -121,7 +121,7 @@ TEST(ProtocolLibraryTest, DatalogIsMoreSuccinctThanSql) {
 
 TEST(ProtocolLibraryTest, CodeSizePerBackend) {
   EXPECT_EQ(Passthrough().CodeSize(), 0);
-  EXPECT_EQ(Ss2plNative().CodeSize(), 0);  // hand-coded C++, no protocol text
+  EXPECT_EQ(Ss2plNative().CodeSize(), 2);  // filter:ss2pl | rank:fcfs
   EXPECT_EQ(ComposedReadCommittedEdf().CodeSize(), 2);   // filter | rank
   EXPECT_EQ(ComposedReadCommittedEdf(16).CodeSize(), 3); // filter | rank | cap
 }
@@ -238,16 +238,6 @@ TEST(ProtocolTest, CompileRejectsDatalogWithoutOutputRelation) {
       ProtocolFactory::Global().Compile(bad, &store).status().IsBindError());
 }
 
-TEST(ProtocolTest, CompileRejectsUnknownNativeVariant) {
-  RequestStore store;
-  ProtocolSpec bad;
-  bad.name = "bad";
-  bad.backend = "native";
-  bad.text = "mvcc";
-  EXPECT_TRUE(
-      ProtocolFactory::Global().Compile(bad, &store).status().IsBindError());
-}
-
 TEST(ComposedProtocolTest, FilterRankCapPipeline) {
   RequestStore store;
   // T1 write-locked object 5; pending: blocked write on 5 plus three reads
@@ -313,7 +303,9 @@ TEST(ComposedProtocolTest, FilterAfterReducingStageKeepsAgeOrdering) {
 TEST(ComposedProtocolTest, RejectsBadPipelines) {
   RequestStore store;
   for (const char* text :
-       {"", "warp:9", "filter:eventual", "rank:random", "cap:-3", "cap:x"}) {
+       {"", " | ", "warp:9", "filter:eventual", "rank:random", "cap:-3",
+        "cap:x", "cap:", "fair_rank:size", "tenant_cap:4",
+        "starvation_boost:0", "starvation_boost:soon"}) {
     ProtocolSpec bad;
     bad.name = "bad";
     bad.backend = "composed";
@@ -324,52 +316,12 @@ TEST(ComposedProtocolTest, RejectsBadPipelines) {
   }
 }
 
-TEST(ComposedProtocolTest, CustomStageRegisters) {
-  // Stages are extensible the same way backends are. Drop every read —
-  // a (nonsensical) stage that proves the hook works.
-  class DropReadsStage : public ProtocolStage {
-   public:
-    Result<RequestBatch> Apply(const ScheduleContext&,
-                               RequestBatch batch) const override {
-      RequestBatch out;
-      for (const Request& r : batch) {
-        if (r.op != txn::OpType::kRead) out.push_back(r);
-      }
-      return out;
-    }
-  };
-  static bool registered = false;
-  if (!registered) {
-    ASSERT_TRUE(RegisterStage("drop-reads",
-                              [](const std::string&)
-                                  -> Result<std::unique_ptr<ProtocolStage>> {
-                                return std::unique_ptr<ProtocolStage>(
-                                    new DropReadsStage());
-                              })
-                    .ok());
-    registered = true;
-  }
-  RequestStore store;
-  ASSERT_TRUE(store
-                  .InsertPending({Op(1, 1, 1, txn::OpType::kRead, 5),
-                                  Op(2, 2, 1, txn::OpType::kWrite, 6)})
-                  .ok());
-  ProtocolSpec spec;
-  spec.name = "writes-only";
-  spec.backend = "composed";
-  spec.text = "drop-reads";
-  auto batch = ScheduleOnce(spec, &store);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_EQ(Ids(*batch), (std::vector<std::string>{"2"}));
-}
-
-// Property: the SQL (Listing 1), Datalog, and hand-coded native formulations
-// of SS2PL qualify exactly the same requests on randomized request/history
-// instances — the native backend is a faithful port, so Figure 2 compares
-// like with like.
+// Property: the compiled SQL (Listing 1), Datalog, and stage-pipeline
+// formulations of SS2PL qualify exactly the same requests as the
+// interpreted Listing 1 oracle on randomized request/history instances.
 class Ss2plEquivalenceTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(Ss2plEquivalenceTest, SqlDatalogAndNativeAgree) {
+TEST_P(Ss2plEquivalenceTest, EveryFormulationMatchesTheInterpretedOracle) {
   Rng rng(static_cast<uint64_t>(GetParam()));
   RequestStore store;
 
@@ -407,24 +359,21 @@ TEST_P(Ss2plEquivalenceTest, SqlDatalogAndNativeAgree) {
   }
   ASSERT_TRUE(store.InsertPending(pending).ok());
 
-  auto sql_batch = ScheduleOnce(Ss2plSql(), &store);
-  auto datalog_batch = ScheduleOnce(Ss2plDatalog(), &store);
-  auto native_batch = ScheduleOnce(Ss2plNative(), &store);
-  ASSERT_TRUE(sql_batch.ok()) << sql_batch.status().ToString();
-  ASSERT_TRUE(datalog_batch.ok()) << datalog_batch.status().ToString();
-  ASSERT_TRUE(native_batch.ok()) << native_batch.status().ToString();
-  EXPECT_EQ(Ids(*sql_batch), Ids(*datalog_batch));
-  EXPECT_EQ(Ids(*sql_batch), Ids(*native_batch));
-
-  // Read-committed agrees across its three formulations too.
-  auto rc_sql = ScheduleOnce(ReadCommittedSql(), &store);
-  auto rc_datalog = ScheduleOnce(ReadCommittedDatalog(), &store);
-  auto rc_native = ScheduleOnce(ReadCommittedNative(), &store);
-  ASSERT_TRUE(rc_sql.ok());
-  ASSERT_TRUE(rc_datalog.ok());
-  ASSERT_TRUE(rc_native.ok());
-  EXPECT_EQ(Ids(*rc_sql), Ids(*rc_datalog));
-  EXPECT_EQ(Ids(*rc_sql), Ids(*rc_native));
+  // SS2PL and read-committed each agree across all their formulations.
+  for (const std::vector<ProtocolSpec>& family :
+       {std::vector<ProtocolSpec>{Ss2plSql(), Ss2plDatalog(), Ss2plNative(),
+                                  InterpretedVariant(Ss2plDatalog())},
+        std::vector<ProtocolSpec>{ReadCommittedSql(), ReadCommittedDatalog(),
+                                  ReadCommittedNative(),
+                                  InterpretedVariant(ReadCommittedDatalog())}}) {
+    auto oracle = ScheduleOnce(InterpretedVariant(family[0]), &store);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    for (const ProtocolSpec& spec : family) {
+      auto batch = ScheduleOnce(spec, &store);
+      ASSERT_TRUE(batch.ok()) << spec.name << ": " << batch.status().ToString();
+      EXPECT_EQ(Ids(*batch), Ids(*oracle)) << spec.name;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Ss2plEquivalenceTest, ::testing::Range(1, 21));

@@ -19,7 +19,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <map>
@@ -676,21 +675,7 @@ TEST(ShardedSchedulerDeathTest, CycleErrorIsFatal) {
 /// Default seeds plus any in DECLSCHED_SHARD_STRESS_SEEDS (comma-separated
 /// integers), so CI can widen the matrix and a failing seed replays alone.
 std::vector<uint64_t> StressSeeds() {
-  std::vector<uint64_t> seeds = {1, 2, 3};
-  if (const char* env = std::getenv("DECLSCHED_SHARD_STRESS_SEEDS")) {
-    std::string spec(env);
-    size_t pos = 0;
-    while (pos < spec.size()) {
-      size_t comma = spec.find(',', pos);
-      if (comma == std::string::npos) comma = spec.size();
-      const std::string token = spec.substr(pos, comma - pos);
-      if (!token.empty()) {
-        seeds.push_back(std::strtoull(token.c_str(), nullptr, 0));
-      }
-      pos = comma + 1;
-    }
-  }
-  return seeds;
+  return testing::SeedsFromEnv("DECLSCHED_SHARD_STRESS_SEEDS", {1, 2, 3});
 }
 
 TEST(ShardedSchedulerTest, ThreadedOpChainsDispatchExactlyOnce) {

@@ -1,10 +1,11 @@
 // Multi-tenant fairness: the wfq / drr / tenant-cap policies.
 //
 // Three properties pin the subsystem down:
-//  * four-way equivalence — the native, composed, SQL, and Datalog
-//    formulations of each policy agree (order for the ranking policies,
-//    exact id order for the filter policy) on randomized request/history/
-//    tenants instances, because all four read the same `tenants` relation;
+//  * four-way equivalence — the `*-native` and composed pipelines, SQL,
+//    and Datalog formulations of each policy agree (order for the ranking
+//    policies, exact id order for the filter policy) on randomized
+//    request/history/tenants instances, because all four read the same
+//    `tenants` relation;
 //  * starvation freedom — under wfq with a flooding aggressor, every
 //    light tenant's requests dispatch within a bounded number of cycles
 //    (1000 randomized tenant-skewed traces);
@@ -214,25 +215,60 @@ TEST(TenantPolicyTest, DatalogRankMustBeDerived) {
 }
 
 TEST(TenantPolicyTest, StarvationBoostStageFrontsStarvedTenants) {
+  // Three tenants, two requests each; at now = 500ms tenant 2's oldest
+  // request has waited ~500ms, tenant 3's 450ms, tenant 1's only 50ms.
   RequestStore store;
-  // Tenant 2's oldest pending request is ~500ms old; tenant 1's is fresh.
-  // Without the boost, rank:fcfs would dispatch the fresh lower id first.
-  Request fresh = Op(1, 1, 1, txn::OpType::kRead, 6, 1);
-  fresh.arrival = SimTime::FromMicros(499000);
-  Request stale = Op(2, 2, 1, txn::OpType::kRead, 5, 2);
-  stale.arrival = SimTime::FromMicros(100);
-  ASSERT_TRUE(store.InsertPending({fresh, stale}).ok());
-  ProtocolSpec spec;
-  spec.name = "boost";
-  spec.backend = "composed";
-  spec.text = "rank:fcfs | starvation_boost:400000";
-  auto compiled = ProtocolFactory::Global().Compile(spec, &store);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  ScheduleContext context{&store, SimTime::FromMicros(500000)};
-  auto batch = (*compiled)->Schedule(context);
-  ASSERT_TRUE(batch.ok());
-  // Only tenant 2 crossed the 400ms threshold; its request moves first.
-  EXPECT_EQ(Ids(*batch), (std::vector<int64_t>{2, 1}));
+  const struct {
+    int64_t id;
+    int tenant;
+    int64_t arrival_us;
+    int priority;
+  } rows[] = {{1, 1, 450000, 0}, {2, 2, 100, 1},    {3, 3, 50000, 1},
+              {4, 1, 460000, 1}, {5, 2, 470000, 0}, {6, 3, 480000, 1}};
+  for (const auto& row : rows) {
+    Request r = Op(row.id, row.id, 1, txn::OpType::kRead, 10 + row.id,
+                   row.tenant);
+    r.arrival = SimTime::FromMicros(row.arrival_us);
+    r.priority = row.priority;
+    ASSERT_TRUE(store.InsertPending({r}).ok());
+  }
+  const struct {
+    const char* label;
+    const char* pipeline;
+    std::vector<int64_t> want;
+  } cases[] = {
+      // Nobody has waited 600ms: the boost keeps the fcfs order.
+      {"no tenant starved", "rank:fcfs | starvation_boost:600000",
+       {1, 2, 3, 4, 5, 6}},
+      // Tenants 2 and 3 are starved: most-starved tenant first, each
+      // tenant's requests in their fcfs order, the fresh tenant last.
+      {"two tenants starved", "rank:fcfs | starvation_boost:400000",
+       {2, 5, 3, 6, 1, 4}},
+      // The cap truncates first (ids 1-3), then the boost re-orders what
+      // is left.
+      {"boost after cap", "rank:fcfs | cap:3 | starvation_boost:400000",
+       {2, 3, 1}},
+      // Starvation is judged against the whole pending set: the cap cut
+      // tenant 2's oldest request (id 2), yet tenant 2 still counts as
+      // starved, so its surviving fresh request 5 moves ahead of 1.
+      {"boost after cap judges the full pending set",
+       "rank:priority | cap:2 | starvation_boost:400000",
+       {5, 1}},
+  };
+  for (const auto& c : cases) {
+    ProtocolSpec spec;
+    spec.name = "boost";
+    spec.backend = "composed";
+    spec.text = c.pipeline;
+    for (const ProtocolSpec& variant : {spec, ScalarExecVariant(spec)}) {
+      auto compiled = ProtocolFactory::Global().Compile(variant, &store);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      const ScheduleContext context{&store, SimTime::FromMicros(500000)};
+      auto batch = (*compiled)->Schedule(context);
+      ASSERT_TRUE(batch.ok()) << c.label;
+      EXPECT_EQ(Ids(*batch), c.want) << c.label << " (" << variant.name << ")";
+    }
+  }
 }
 
 // --- starvation freedom under wfq ------------------------------------------

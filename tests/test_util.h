@@ -7,9 +7,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -42,6 +46,41 @@ class ScopedTempDir {
  private:
   std::string path_;
 };
+
+/// The default seed matrix of a seeded suite, plus every seed in the
+/// environment variable `name` (comma-separated decimal integers, spaces
+/// around a token allowed), so CI can widen the matrix and a failing seed
+/// replays alone. Defaults always run; a seed listed twice runs once. A
+/// malformed token (empty, non-numeric, trailing garbage, out of range)
+/// fails the calling test instead of being dropped or run as seed 0.
+inline std::vector<uint64_t> SeedsFromEnv(const char* name,
+                                          std::vector<uint64_t> defaults) {
+  std::vector<uint64_t> seeds = std::move(defaults);
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return seeds;
+  const std::string spec(env);
+  size_t pos = 0;
+  while (pos <= spec.size()) {
+    size_t comma = spec.find(',', pos);
+    if (comma == std::string::npos) comma = spec.size();
+    std::string token = spec.substr(pos, comma - pos);
+    token.erase(0, token.find_first_not_of(' '));
+    token.erase(token.find_last_not_of(' ') + 1);
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
+    if (token.empty() || token[0] == '-' || end == nullptr || *end != '\0' ||
+        errno == ERANGE) {
+      ADD_FAILURE() << name << ": malformed seed token '" << token
+                    << "' in '" << spec
+                    << "' (want comma-separated decimal integers)";
+    } else if (std::find(seeds.begin(), seeds.end(), v) == seeds.end()) {
+      seeds.push_back(v);
+    }
+    pos = comma + 1;
+  }
+  return seeds;
+}
 
 /// Renders each result row as "v1|v2|..." and sorts, for order-insensitive
 /// comparison.
