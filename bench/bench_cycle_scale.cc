@@ -12,12 +12,12 @@
 // nonzero unless
 //   (a) the compiled protocols' per-cycle query cost stays roughly flat as
 //       resident history grows;
-//   (b) at the largest swept history compiled SQL (vectorized) beats its
-//       interpreted oracle ("interp:ss2pl-sql") by the expected margin;
+//   (b) at the largest swept history compiled SQL beats its interpreted
+//       oracle ("interp:ss2pl-sql") by the expected margin;
 //   (c) the three compiled front-ends of the same plan stay within a small
 //       factor of the cheapest of them;
-//   (d) the vectorized executor never loses to the scalar one, and matches
-//       the pipeline front-end at the largest history.
+//   (d) the SQL and Datalog texts match the pipeline front-end at the
+//       largest history.
 //
 // Flags: --smoke       small sweep + relaxed gates (CI-friendly)
 //        --json PATH   also write the JSON rows to PATH
@@ -150,17 +150,12 @@ int main(int argc, char** argv) {
 
   // "pipeline" is the `ss2pl-native` spec (filter:ss2pl | rank:fcfs),
   // "sql"/"datalog" the declarative texts: all three compile to the same
-  // protocol IR plan and run the vectorized executor by default. The
-  // row-at-a-time executor stays measurable as the "*-scalar" rows
-  // (ScalarExecVariant), the re-parse-and-interpret engines as the capped
+  // protocol IR plan. The re-parse-and-interpret engines are the capped
   // "*-interp" rows ("interp:" spec prefix).
   std::vector<Sweep> sweeps;
   sweeps.push_back({"pipeline", Ss2plNative(), INT64_MAX, {}});
   sweeps.push_back({"sql", Ss2plSql(), INT64_MAX, {}});
   sweeps.push_back({"datalog", Ss2plDatalog(), INT64_MAX, {}});
-  sweeps.push_back({"sql-scalar", ScalarExecVariant(Ss2plSql()), INT64_MAX, {}});
-  sweeps.push_back(
-      {"datalog-scalar", ScalarExecVariant(Ss2plDatalog()), INT64_MAX, {}});
   sweeps.push_back({"sql-interp", InterpretedVariant(Ss2plSql()), 10000, {}});
   sweeps.push_back(
       {"datalog-interp", InterpretedVariant(Ss2plDatalog()), 2500, {}});
@@ -284,7 +279,7 @@ int main(int argc, char** argv) {
         (speedup >= kSpeedupGate ||
          // Sub-noise absolute costs can't meaningfully miss the gate.
          (interp_us <= kNoiseFloorUs && compiled_us <= interp_us));
-    std::printf("sql(vec) vs sql-interp @drain=%d, history=%lld: %lldus vs "
+    std::printf("sql vs sql-interp @drain=%d, history=%lld: %lldus vs "
                 "%lldus (%.1fx, need %.1fx) -> %s\n",
                 d, static_cast<long long>(h_max),
                 static_cast<long long>(compiled_us),
@@ -319,38 +314,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Gate (d): the vectorized executor never loses to the row-at-a-time
-  // executor on the same compiled plan — at every sweep point — and at the
-  // largest swept history the SQL and Datalog texts also match the
-  // pipeline front-end. Sub-noise absolute costs pass.
-  for (const auto& pair : {std::pair<const char*, const char*>{"sql",
-                                                               "sql-scalar"},
-                           {"datalog", "datalog-scalar"}}) {
-    for (int64_t h : history_sizes) {
-      for (int d : drain_sizes) {
-        const int64_t vec_us = query_us(pair.first, h, d);
-        const int64_t scalar_us = query_us(pair.second, h, d);
-        const int64_t budget = std::max(scalar_us, kNoiseFloorUs);
-        const bool fast = vec_us >= 0 && scalar_us >= 0 && vec_us <= budget;
-        std::printf("%s(vec) vs %s @history=%lld drain=%d: %lldus vs %lldus "
-                    "-> %s\n",
-                    pair.first, pair.second, static_cast<long long>(h), d,
-                    static_cast<long long>(vec_us),
-                    static_cast<long long>(scalar_us),
-                    fast ? "ok" : "SLOWER THAN SCALAR");
-        ok = ok && fast;
-      }
-    }
-    const int64_t vec_us = query_us(pair.first, h_max, drain_sizes.back());
-    const int64_t pipeline_us =
-        query_us("pipeline", h_max, drain_sizes.back());
-    const int64_t pipeline_budget = std::max(pipeline_us, kNoiseFloorUs);
-    const bool matches =
-        vec_us >= 0 && pipeline_us >= 0 && vec_us <= pipeline_budget;
-    std::printf("%s(vec) vs pipeline @history=%lld drain=%d: %lldus vs %lldus "
+  // Gate (d): at the largest swept history the SQL and Datalog texts
+  // match the pipeline front-end. Sub-noise absolute costs pass.
+  const int64_t pipeline_us = query_us("pipeline", h_max, drain_sizes.back());
+  const int64_t pipeline_budget = std::max(pipeline_us, kNoiseFloorUs);
+  for (const char* label : {"sql", "datalog"}) {
+    const int64_t us = query_us(label, h_max, drain_sizes.back());
+    const bool matches = us >= 0 && pipeline_us >= 0 && us <= pipeline_budget;
+    std::printf("%s vs pipeline @history=%lld drain=%d: %lldus vs %lldus "
                 "-> %s\n",
-                pair.first, static_cast<long long>(h_max), drain_sizes.back(),
-                static_cast<long long>(vec_us),
+                label, static_cast<long long>(h_max), drain_sizes.back(),
+                static_cast<long long>(us),
                 static_cast<long long>(pipeline_us),
                 matches ? "ok" : "SLOWER THAN PIPELINE");
     ok = ok && matches;

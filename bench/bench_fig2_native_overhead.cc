@@ -10,11 +10,11 @@
 // In addition, the per-backend section sweeps every SS2PL formulation —
 // the `ss2pl-native` stage pipeline and the SQL/Datalog texts (all three
 // lowered to one protocol IR plan), their interpreted oracles ("interp:"
-// variants), and the compiled plans on the scalar executor — through the
-// *same* unified Protocol API on the Section 4.3.2 steady state, and emits
-// one JSON row per formulation with its scheduling-cost trajectory. The
-// compiled rows are gated to beat every interpreted row everywhere (>= 10x
-// at 500 clients) and to stay within 3x of each other.
+// variants) — through the *same* unified Protocol API on the Section 4.3.2
+// steady state, and emits one JSON row per formulation with its
+// scheduling-cost trajectory. The compiled rows are gated to beat every
+// interpreted row everywhere (>= 10x at 500 clients) and to stay within 3x
+// of each other.
 
 #include <algorithm>
 #include <climits>
@@ -91,11 +91,9 @@ BackendPoint MeasureOneCycle(const ProtocolSpec& spec, int clients) {
 
 bool SweepBackends(bool smoke, const char* json_path) {
   // Index map: 0 the ss2pl-native stage pipeline, 1/2 compiled SQL/Datalog
-  // (all three lowered to the same protocol IR plan, vectorized executor),
-  // 3/4 the interpreted oracles, 5/6 the compiled SQL/Datalog plans on the
-  // row-at-a-time scalar executor (the in-IR oracle the vectorized default
-  // is gated against). The compiled-vs-interpreted-vs-scalar tuples carry
-  // identical protocol text.
+  // (all three lowered to the same protocol IR plan), 3/4 the interpreted
+  // oracles. The compiled-vs-interpreted pairs carry identical protocol
+  // text.
   const std::vector<ProtocolSpec> backends = {
       declsched::scheduler::Ss2plNative(),
       declsched::scheduler::Ss2plSql(),
@@ -103,11 +101,8 @@ bool SweepBackends(bool smoke, const char* json_path) {
       declsched::scheduler::InterpretedVariant(declsched::scheduler::Ss2plSql()),
       declsched::scheduler::InterpretedVariant(
           declsched::scheduler::Ss2plDatalog()),
-      declsched::scheduler::ScalarExecVariant(declsched::scheduler::Ss2plSql()),
-      declsched::scheduler::ScalarExecVariant(
-          declsched::scheduler::Ss2plDatalog()),
   };
-  const std::vector<size_t> kCompiled = {0, 1, 2, 5, 6};
+  const std::vector<size_t> kCompiled = {0, 1, 2};
   const std::vector<size_t> kInterpreted = {3, 4};
   const std::vector<int> client_counts = {100, 300, 500};
 
@@ -183,13 +178,12 @@ bool SweepBackends(bool smoke, const char* json_path) {
     std::fclose(f);
   }
 
-  // Gate (a): every compiled row (pipeline, SQL, Datalog, on either
-  // executor) must be strictly cheaper in protocol evaluation (the query
-  // phase) than every interpreted row at every point — compiling is what
-  // makes the declarative protocol middleware-fast. Whole-cycle time is not
-  // gated — with incremental protocols the query phase is down to
-  // microseconds and cycle totals are dominated by shared insert/move
-  // storage work.
+  // Gate (a): every compiled row (pipeline, SQL, Datalog) must be strictly
+  // cheaper in protocol evaluation (the query phase) than every interpreted
+  // row at every point — compiling is what makes the declarative protocol
+  // middleware-fast. Whole-cycle time is not gated — with incremental
+  // protocols the query phase is down to microseconds and cycle totals are
+  // dominated by shared insert/move storage work.
   bool ok = true;
   bool compiled_cheaper = true;
   for (size_t point = 0; point < client_counts.size(); ++point) {
@@ -257,25 +251,6 @@ bool SweepBackends(bool smoke, const char* json_path) {
     }
   }
 
-  // Gate (d): the vectorized executor (the compiled default, indexes 1/2)
-  // must not lose to the same plan on the row-at-a-time scalar executor
-  // (indexes 5/6) at any point; sub-noise absolute costs pass.
-  for (const auto& [vec_idx, scalar_idx] :
-       {std::pair<size_t, size_t>{1, 5}, std::pair<size_t, size_t>{2, 6}}) {
-    for (size_t point = 0; point < client_counts.size(); ++point) {
-      const int64_t vec_us = trajectories[vec_idx][point].query_us;
-      const int64_t scalar_us = trajectories[scalar_idx][point].query_us;
-      const int64_t budget = std::max(scalar_us, kNoiseFloorUs);
-      const bool fast = vec_us <= budget;
-      std::printf("%s (vec) vs %s @%d clients: %lldus vs %lldus -> %s\n",
-                  backends[vec_idx].name.c_str(),
-                  backends[scalar_idx].name.c_str(), client_counts[point],
-                  static_cast<long long>(vec_us),
-                  static_cast<long long>(scalar_us),
-                  fast ? "ok" : "SLOWER THAN SCALAR");
-      ok = ok && fast;
-    }
-  }
   return ok;
 }
 

@@ -120,12 +120,6 @@ std::string NodeLine(const PlanNode& node) {
   return "?";
 }
 
-std::string ExecutorLine(const ProtocolSpec& spec) {
-  return spec.ir_executor == "scalar"
-             ? "executor: scalar (row-at-a-time oracle, forced by spec)\n"
-             : "executor: vectorized (columnar, selection vectors)\n";
-}
-
 }  // namespace
 
 std::string ExplainProtocolPlan(const ProtocolPlan& plan) {
@@ -156,8 +150,7 @@ Result<std::string> ExplainProtocol(const ProtocolSpec& spec,
         spec.backend == "sql" ? LowerSqlSpec(resolved, *store->catalog())
                               : LowerDatalogSpec(resolved);
     if (!force_interp && lowered.ok()) {
-      return header + "compiled protocol IR:\n" + ExecutorLine(spec) +
-             ExplainProtocolPlan(*lowered);
+      return header + "compiled protocol IR:\n" + ExplainProtocolPlan(*lowered);
     }
     std::string out = header;
     out += force_interp ? "interpreted (forced by interp: prefix)\n"
@@ -180,8 +173,7 @@ Result<std::string> ExplainProtocol(const ProtocolSpec& spec,
   if (spec.backend == "composed") {
     DS_ASSIGN_OR_RETURN(ProtocolPlan lowered, LowerPipelineSpec(spec));
     return header + "stage pipeline: " + spec.text + "\n" +
-           "compiled protocol IR:\n" + ExecutorLine(spec) +
-           ExplainProtocolPlan(lowered);
+           "compiled protocol IR:\n" + ExplainProtocolPlan(lowered);
   }
   return header;
 }

@@ -141,15 +141,15 @@ void OptimizePlan(ProtocolPlan* plan) {
     }
   }
 
-  // Selection-vector-aware rewrites (the vectorized executor runs each node
-  // as one compaction pass over the selection):
+  // Pass-saving rewrites (the executor runs each node as one compaction
+  // pass over the row stream):
   //  - within each run of cheap per-row drops, order typed filters before
-  //    the throttle anti-join — a predicate is a branch-free column compare
-  //    while the throttle probe is a per-tenant lookup, so shrinking the
-  //    selection first is strictly cheaper; legal because both are pure
+  //    the throttle anti-join — a predicate is an in-row integer compare
+  //    while the throttle probe is a per-tenant map lookup, so shrinking the
+  //    stream first is strictly cheaper; legal because both are pure
   //    per-row drops and commute;
   //  - then fuse adjacent filter nodes into one conjunction, so a cycle
-  //    compacts the selection once per fused group instead of per node.
+  //    compacts the stream once per fused group instead of per node.
   for (size_t i = 0; i < nodes.size();) {
     if (!IsCheapFilter(*nodes[i])) {
       ++i;

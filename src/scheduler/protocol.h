@@ -78,12 +78,6 @@ struct ProtocolSpec {
   /// If true, the protocol's result order is the dispatch order (SLA/EDF
   /// protocols rank by priority/deadline); otherwise dispatch is by id.
   bool ordered = false;
-  /// Which executor a compiled (IR-lowered) protocol runs its plan on:
-  /// "" / "vec" = the vectorized columnar executor (the default), "scalar"
-  /// = the row-at-a-time executor, kept as the differential oracle.
-  /// Ignored by specs that never lower (interpreted, passthrough).
-  std::string ir_executor;
-
   /// Size metric for the paper's Section 3.4 productivity comparison:
   /// non-empty, non-comment lines (SQL), rules (Datalog), stages (composed).
   /// Zero for backends without declarative text (passthrough).

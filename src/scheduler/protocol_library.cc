@@ -443,19 +443,6 @@ ProtocolSpec InterpretedVariant(ProtocolSpec spec) {
   return spec;
 }
 
-ProtocolSpec ScalarExecVariant(ProtocolSpec spec) {
-  if (spec.backend != "sql" && spec.backend != "datalog" &&
-      spec.backend != "composed") {
-    return spec;
-  }
-  if (spec.text.rfind("interp:", 0) == 0) return spec;  // never lowers
-  if (spec.ir_executor == "scalar") return spec;        // already forced
-  spec.name = "scalar:" + spec.name;
-  spec.ir_executor = "scalar";
-  spec.description += " (scalar IR executor)";
-  return spec;
-}
-
 ProtocolRegistry ProtocolRegistry::BuiltIns() {
   ProtocolRegistry registry;
   for (const ProtocolSpec& spec :

@@ -95,14 +95,6 @@ ProtocolSpec ComposedSs2plPriority(int64_t cap = 0);
 /// variants against. Specs of other backends are returned unchanged.
 ProtocolSpec InterpretedVariant(ProtocolSpec spec);
 
-/// The scalar-executor variant of a SQL, Datalog or composed spec: lowers to
-/// the same protocol IR, but the compiled protocol runs the row-at-a-time
-/// executor instead of the vectorized default ("scalar:" name prefix;
-/// ir_executor = "scalar"). The in-IR differential oracle the vec executor
-/// is tested and benched against. Specs that never lower are returned
-/// unchanged.
-ProtocolSpec ScalarExecVariant(ProtocolSpec spec);
-
 /// Name -> spec registry of every built-in; custom specs can be added.
 class ProtocolRegistry {
  public:

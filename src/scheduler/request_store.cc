@@ -381,8 +381,6 @@ const std::map<int64_t, Request>& RequestStore::pending_by_id() const {
 int64_t RequestStore::pending_count() const { return requests_->size(); }
 int64_t RequestStore::history_count() const { return history_->size(); }
 uint64_t RequestStore::history_version() const { return history_->version(); }
-uint64_t RequestStore::pending_version() const { return requests_->version(); }
-uint64_t RequestStore::tenants_version() const { return tenants_->version(); }
 
 const datalog::Database& RequestStore::BuildDatalogEdb() const {
   EnsureMirror();

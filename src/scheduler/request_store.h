@@ -164,17 +164,6 @@ class RequestStore {
   /// with the epoch to detect every way history can change under them.
   uint64_t history_version() const;
 
-  /// The requests table's content-mutation counter — pairs with
-  /// pending_epoch() exactly as history_version() pairs with the history
-  /// epoch. What the vectorized executor's columnar mirror keys its
-  /// delta-accept handshake on.
-  uint64_t pending_version() const;
-
-  /// The tenants table's content-mutation counter. The tenants relation has
-  /// no narrated delta hook (the accountant upserts between hooks), so
-  /// columnar consumers rebuild whenever this moves.
-  uint64_t tenants_version() const;
-
   // --- the `tenants` accounting relation -------------------------------
   // Visible to SQL protocols as the `tenants` table and to Datalog as the
   // `tenantacct` EDB relation; the typed mirror below is the zero-decode

@@ -223,6 +223,8 @@ Status ShardedScheduler::ReestablishCrossShardState(
     uint32_t marker_mask = 0;  ///< shards with a termination marker in history
     int pending_finisher_shard = -1;
     Request pending_finisher;
+    bool finished = false;  ///< a finisher dispatched: marker or fanout seen
+    Request marker;         ///< that finisher, the mirror owed to stragglers
   };
   std::unordered_map<txn::TxnId, TxnState> txns;
   // Id counters died with the process; the restored rows carry the high
@@ -254,6 +256,8 @@ Status ShardedScheduler::ReestablishCrossShardState(
           TxnState& t = txns[r.ta];
           if (IsFinisher(r.op)) {
             t.marker_mask |= 1u << s;
+            t.finished = true;
+            t.marker = r;
           } else {
             t.rows_mask |= 1u << s;
           }
@@ -296,19 +300,23 @@ Status ShardedScheduler::ReestablishCrossShardState(
   }
 
   // Re-publish mirrors whose application never reached the receiving
-  // shard's log: the fanout record proves the finisher dispatched; a shard
-  // still holding non-marker rows with no marker of its own never applied
-  // (or never re-logged) the release.
+  // shard's log. A finisher dispatched if any shard holds its marker, or,
+  // once the home shard's GC erased that marker, if its fanout record
+  // survived. Either proof alone suffices: the home shard logs its
+  // dispatch before the fanout record, so a crash between the two leaves
+  // only the marker. A shard still holding non-marker rows with no marker
+  // of its own never applied (or never re-logged) the release.
   for (const EscrowFanout& fanout : fanouts) {
     auto it = txns.find(fanout.marker.ta);
-    if (it == txns.end()) continue;  // fully retired everywhere
-    const TxnState& t = it->second;
-    uint32_t mask = fanout.mask;
-    for (int s = 0; mask != 0; ++s, mask >>= 1) {
-      if (!(mask & 1u)) continue;
-      if ((t.rows_mask >> s & 1u) && !(t.marker_mask >> s & 1u)) {
-        PublishMirror(s, fanout.marker);
-      }
+    if (it == txns.end() || it->second.finished) continue;
+    it->second.finished = true;
+    it->second.marker = fanout.marker;
+  }
+  for (const auto& [ta, t] : txns) {
+    if (!t.finished) continue;
+    uint32_t owed = t.rows_mask & ~t.marker_mask;
+    for (int s = 0; owed != 0; ++s, owed >>= 1) {
+      if (owed & 1u) PublishMirror(s, t.marker);
     }
   }
   return Status::OK();

@@ -374,9 +374,10 @@ class ShardedScheduler {
   Status RecoverAndAttach();
   /// Rebuilds the cross-shard machinery recovery cannot read off a single
   /// shard: router footprints of unfinished transactions, escrow entries
-  /// of restored-but-undispatched cross-shard finishers, and mirrors
-  /// (from replayed kEscrowFanout records) whose application never
-  /// reached the receiving shard's log.
+  /// of restored-but-undispatched cross-shard finishers, and mirrors of
+  /// dispatched finishers (proved by a marker on any shard or a replayed
+  /// kEscrowFanout record) whose application never reached the receiving
+  /// shard's log.
   Status ReestablishCrossShardState(const std::vector<EscrowFanout>& fanouts);
   /// Snapshot + WAL rotate, workers already parked. lifecycle_mu_ held.
   Status WriteCheckpointNow();

@@ -363,6 +363,58 @@ TEST(DurabilityShardedTest, EscrowFanoutRepublishedOnRecovery) {
       << "txn 88 stalled: the recovered shard still holds txn 77's lock";
 }
 
+TEST(DurabilityShardedTest, HomeMarkerWithoutFanoutRepublishedOnRecovery) {
+  // The crash one record earlier: the home shard's dispatch of a
+  // cross-shard commit is durable (its marker is in history), but the
+  // fanout record appended after it is not. The marker alone proves the
+  // finisher dispatched, so the receiving shard is still owed its mirror.
+  const int kShards = 2;
+  ShardRouter router(kShards);
+  int64_t object_on_1 = -1;
+  for (int64_t o = 0; o < 64; ++o) {
+    if (router.ShardOfObject(o) == 1) {
+      object_on_1 = o;
+      break;
+    }
+  }
+  ASSERT_GE(object_on_1, 0);
+
+  const ScopedTempDir dir("durability_test");
+  ASSERT_EQ(::mkdir(dir.path().c_str(), 0755) == 0 || errno == EEXIST, true);
+  {
+    storage::Wal::Options options;
+    options.path = storage::WalPath(dir);
+    auto wal = storage::Wal::Open(options, 1);
+    ASSERT_TRUE(wal.ok());
+    storage::Wal* w = wal.ValueOrDie().get();
+    const Request write = Op(5, 77, 1, txn::OpType::kWrite, object_on_1);
+    w->Append(static_cast<uint8_t>(WalRecordType::kInsertPending), 1,
+              EncodeRequests({write}));
+    w->Append(static_cast<uint8_t>(WalRecordType::kMarkScheduled), 1,
+              EncodeRequestIds({write}));
+    // Shard 0 (home): the commit dispatched; no GC, no fanout record.
+    const Request commit =
+        Op(6, 77, 2, txn::OpType::kCommit, Request::kNoObject);
+    w->Append(static_cast<uint8_t>(WalRecordType::kInsertPending), 0,
+              EncodeRequests({commit}));
+    w->Append(static_cast<uint8_t>(WalRecordType::kMarkScheduled), 0,
+              EncodeRequestIds({commit}));
+    ASSERT_TRUE(w->Close().ok());
+  }
+
+  auto sched = std::make_unique<ShardedScheduler>(
+      DurableOptions(dir, kShards), nullptr);
+  ASSERT_TRUE(sched->Init().ok());
+  sched->Submit(Op(0, 88, 1, txn::OpType::kWrite, object_on_1), SimTime());
+  ASSERT_TRUE(sched->RunUntilIdle(SimTime()).ok());
+  bool dispatched = false;
+  for (const Request& r : sched->TakeDispatched()) {
+    if (r.ta == 88) dispatched = true;
+  }
+  EXPECT_TRUE(dispatched)
+      << "txn 88 stalled: the recovered shard still holds txn 77's lock";
+}
+
 TEST(DurabilityShardedTest, SyncDispatchWalMakesCycleDurableBeforeDispatch) {
   const ScopedTempDir dir("durability_test");
   ShardedScheduler::Options options = DurableOptions(dir, 1);

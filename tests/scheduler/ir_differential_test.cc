@@ -20,6 +20,7 @@
 #include "scheduler/ir/compiled_protocol.h"
 #include "scheduler/lock_table.h"
 #include "scheduler/protocol_library.h"
+#include "storage/table.h"
 
 namespace declsched::scheduler {
 namespace {
@@ -496,8 +497,10 @@ void RunLockstepDifferential(const std::vector<ProtocolSpec>& rotation,
 
 TEST(ProtocolIrTest, LockstepDifferentialAcrossAllRegistrySpecs) {
   const ProtocolRegistry registry = ProtocolRegistry::BuiltIns();
+  int specs = 0;
   for (const std::string& name : registry.Names()) {
     const ProtocolSpec spec = *registry.Get(name);
+    ++specs;
     LockstepResult result;
     RunLockstepDifferential({spec}, OracleOf(spec), /*seed=*/1000, &result);
     if (::testing::Test::HasFatalFailure()) {
@@ -509,6 +512,7 @@ TEST(ProtocolIrTest, LockstepDifferentialAcrossAllRegistrySpecs) {
     EXPECT_EQ(result.committed, result.txns) << name;
     EXPECT_EQ(result.dispatched, result.submitted) << name;
   }
+  EXPECT_EQ(specs, 27);
 }
 
 TEST(ProtocolIrTest, CompiledStaysODeltaAcrossWholeRuns) {
@@ -615,6 +619,67 @@ TEST(ProtocolIrTest, OutOfBandEditFallsBackToRebuildAndStaysExact) {
     dispatched_t2 |= r.ta == 2;
   }
   EXPECT_TRUE(dispatched_t2);
+}
+
+TEST(ProtocolIrTest, CompiledSurvivesAutoVacuumRowCompaction) {
+  // storage::Table vacuum compacts the heap and remaps RowIds WITHOUT
+  // bumping the content version, so incremental state keyed on RowIds
+  // would read remapped slots while still counting as synced. A vacuum
+  // between cycles must neither change any dispatch nor push the compiled
+  // side off the delta path.
+  const ProtocolSpec spec = *ProtocolRegistry::BuiltIns().Get("ss2pl-sql");
+  DeclarativeScheduler::Options options;
+  options.protocol = spec;
+  DeclarativeScheduler subject(options, nullptr);
+  ASSERT_TRUE(subject.Init().ok());
+  DeclarativeScheduler::Options ref_options;
+  ref_options.protocol = InterpretedVariant(spec);
+  DeclarativeScheduler reference(ref_options, nullptr);
+  ASSERT_TRUE(reference.Init().ok());
+
+  // Make auto-vacuum maximally aggressive on the subject's requests table
+  // so every bulk-delete boundary (MarkScheduled) compacts the heap.
+  storage::Table* requests =
+      subject.store()->catalog()->GetTable("requests");
+  ASSERT_NE(requests, nullptr);
+  requests->SetAutoVacuum(/*live_ratio=*/0.99, /*min_slots=*/1);
+
+  Rng rng(31);
+  int64_t next_ta = 1;
+  for (int cycle = 0; cycle < 30; ++cycle) {
+    for (int i = 0; i < 3; ++i) {
+      const txn::TxnId ta = next_ta++;
+      Request r = Op(0, ta, 1,
+                     rng.Bernoulli(0.5) ? txn::OpType::kRead
+                                        : txn::OpType::kWrite,
+                     rng.UniformInt(0, 5));
+      r.priority = static_cast<int>(rng.UniformInt(0, 2));
+      subject.Submit(r, SimTime());
+      reference.Submit(r, SimTime());
+      Request fin = Op(0, ta, 2, txn::OpType::kCommit, Request::kNoObject);
+      subject.Submit(fin, SimTime());
+      reference.Submit(fin, SimTime());
+    }
+    auto s = subject.RunCycle(SimTime());
+    auto r = reference.RunCycle(SimTime());
+    ASSERT_TRUE(s.ok() && r.ok());
+    const RequestBatch& got = subject.last_dispatched();
+    const RequestBatch& want = reference.last_dispatched();
+    ASSERT_EQ(got.size(), want.size()) << "cycle " << cycle;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].id, want[i].id)
+          << "cycle " << cycle << " position " << i
+          << "\ncompiled: " << DescribeBatch(got)
+          << "\ninterp:   " << DescribeBatch(want);
+    }
+    // Force an extra mid-run compaction on top of the auto-vacuums, the
+    // worst case for any RowId-keyed state: remap with no version bump.
+    if (cycle % 5 == 4) requests->Vacuum();
+  }
+  const auto* compiled =
+      dynamic_cast<const ir::CompiledProtocol*>(subject.active_protocol());
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_EQ(compiled->lock_state().full_rebuilds(), 1);
 }
 
 }  // namespace

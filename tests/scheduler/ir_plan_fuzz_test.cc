@@ -1,16 +1,19 @@
-// Seeded plan/batch fuzz for the vectorized executor: random ProtocolPlan
-// shapes — arbitrary chains of filter / lock anti-join / throttle
-// anti-join / tenants join / rank / limit / starvation boost over a pending
-// scan, with random predicates, conflict-rule subsets, rank keys, limits
-// (also placed right before a lock anti-join, the `cap | filter` pipeline
-// shape) and boost thresholds — executed
-// against adversarial store states (empty store, single row, every row
-// filtered out, selection exactly at the limit boundary, deleted tenants
-// rows), cross-checked row-for-row between VecPlanExecutor and the scalar
-// PlanExecutor. DECLSCHED_VEC_FUZZ_SEEDS (csv) adds seeds to the default
-// matrix, like the scenario soak's DECLSCHED_SOAK_SEEDS.
+// Seeded optimizer-soundness fuzz: random ProtocolPlan shapes — arbitrary
+// chains of filter / lock anti-join / throttle anti-join / tenants join /
+// rank / limit / starvation boost over a pending scan, with random
+// predicates, conflict-rule subsets, rank keys, limits (also placed right
+// before a lock anti-join, the `cap | filter` pipeline shape) and boost
+// thresholds — executed against adversarial store states (empty store,
+// single row, every row filtered out, selection exactly at the limit
+// boundary, deleted tenants rows). Each plan must dispatch the same ids
+// raw and after OptimizePlan (in order when the plan is ordered, else
+// after RankById, as CompiledProtocol does), and its output must be a
+// duplicate-free subset of pending that respects every limit.
+// DECLSCHED_PLAN_FUZZ_SEEDS (csv) adds seeds to the default matrix, like
+// the scenario soak's DECLSCHED_SOAK_SEEDS.
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,7 +21,7 @@
 #include "gtest/gtest.h"
 #include "scheduler/ir/executor.h"
 #include "scheduler/ir/explain.h"
-#include "scheduler/ir/vec/vec_executor.h"
+#include "scheduler/ir/optimize.h"
 #include "scheduler/request_store.h"
 #include "test_util.h"
 
@@ -26,7 +29,7 @@ namespace declsched::scheduler {
 namespace {
 
 std::vector<uint64_t> FuzzSeeds() {
-  return testing::SeedsFromEnv("DECLSCHED_VEC_FUZZ_SEEDS", {5, 55, 555, 5555});
+  return testing::SeedsFromEnv("DECLSCHED_PLAN_FUZZ_SEEDS", {5, 55, 555, 5555});
 }
 
 Request Op(int64_t id, txn::TxnId ta, int64_t intrata, txn::OpType op,
@@ -53,8 +56,8 @@ constexpr int64_t kNowUs = 1000;
 /// A random linear pipeline: always a pending scan at the leaf, then 0-6
 /// random operators. Shapes the lowerers never emit (filters after ranks,
 /// repeated joins, limit 0, rank with no keys) are deliberately in range —
-/// the executors contract to agree on every well-formed plan, not just
-/// lowered ones.
+/// the optimizer must preserve the output of every well-formed plan, not
+/// just lowered ones.
 ir::ProtocolPlan RandomPlan(Rng* rng) {
   ir::ProtocolPlan plan;
   plan.source = "fuzz";
@@ -73,7 +76,7 @@ ir::ProtocolPlan RandomPlan(Rng* rng) {
           pred.cmp = static_cast<ir::CompareKind>(rng->UniformInt(0, 5));
           if (pred.field == ir::RequestField::kOperation) {
             // Only =/<>' are meaningful on the op column; the lowerers
-            // emit nothing else and the executors only dispatch those.
+            // emit nothing else and the executor only dispatches those.
             pred.cmp = rng->Bernoulli(0.5) ? ir::CompareKind::kEq
                                            : ir::CompareKind::kNe;
             pred.op_value = rng->Bernoulli(0.5) ? txn::OpType::kRead
@@ -210,7 +213,67 @@ void PopulateStore(RequestStore* store, Rng* rng, int rows) {
   }
 }
 
-TEST(IrVecFuzzTest, RandomPlansMatchScalarOnAdversarialStores) {
+/// The ids a plan dispatches: in stream order when the plan is ordered,
+/// else ascending, exactly as CompiledProtocol hands them out.
+std::vector<int64_t> DispatchIds(const ir::ProtocolPlan& plan,
+                                 RequestBatch batch) {
+  if (!plan.ordered) RankById(&batch);
+  std::vector<int64_t> ids;
+  ids.reserve(batch.size());
+  for (const Request& r : batch) ids.push_back(r.id);
+  return ids;
+}
+
+/// The tightest limit anywhere in the plan (-1 when it has none): no
+/// operator adds rows, so every output respects it.
+int64_t TightestLimit(const ir::ProtocolPlan& plan) {
+  int64_t tightest = -1;
+  for (const ir::PlanNode* n = plan.root.get(); n != nullptr;
+       n = n->input.get()) {
+    if (n->kind == ir::PlanNode::Kind::kLimit && n->limit >= 0 &&
+        (tightest < 0 || n->limit < tightest)) {
+      tightest = n->limit;
+    }
+  }
+  return tightest;
+}
+
+/// Runs `raw` and `optimized` on their own executors against `store` and
+/// asserts they dispatch the same ids, and that the output is a
+/// duplicate-free subset of pending within every limit of the plan.
+void ExpectOptimizerSound(const ir::ProtocolPlan& raw,
+                          const ir::ProtocolPlan& optimized,
+                          ir::PlanExecutor* raw_exec,
+                          ir::PlanExecutor* opt_exec, RequestStore* store,
+                          const std::string& where) {
+  ScheduleContext context{};
+  context.store = store;
+  context.now = SimTime::FromMicros(kNowUs);
+  auto want = raw_exec->Execute(raw, context);
+  auto got = opt_exec->Execute(optimized, context);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(DispatchIds(optimized, *got), DispatchIds(raw, *want))
+      << where << "\nraw plan:\n" << ir::ExplainProtocolPlan(raw)
+      << "optimized plan:\n" << ir::ExplainProtocolPlan(optimized)
+      << "raw:       " << DescribeBatch(*want)
+      << "\noptimized: " << DescribeBatch(*got);
+
+  const auto& pending = store->pending_by_id();
+  std::set<int64_t> seen;
+  for (const Request& r : *want) {
+    EXPECT_TRUE(seen.insert(r.id).second) << where << ": id " << r.id
+                                          << " dispatched twice";
+    EXPECT_EQ(pending.count(r.id), 1u) << where << ": id " << r.id
+                                       << " is not pending";
+  }
+  const int64_t limit = TightestLimit(raw);
+  if (limit >= 0) {
+    EXPECT_LE(static_cast<int64_t>(want->size()), limit) << where;
+  }
+}
+
+TEST(IrPlanFuzzTest, OptimizerPreservesOutputOnAdversarialStores) {
   for (uint64_t seed : FuzzSeeds()) {
     Rng rng(seed);
     for (int round = 0; round < 120; ++round) {
@@ -223,85 +286,79 @@ TEST(IrVecFuzzTest, RandomPlansMatchScalarOnAdversarialStores) {
       RequestStore store;
       PopulateStore(&store, &rng, rows);
       if (::testing::Test::HasFatalFailure()) return;
-      const ir::ProtocolPlan plan = RandomPlan(&rng);
+      // The same random plan twice (a copied generator replays it): one
+      // run raw, one rewritten by the optimizer.
+      Rng replay = rng;
+      const ir::ProtocolPlan raw = RandomPlan(&rng);
+      ir::ProtocolPlan optimized = RandomPlan(&replay);
+      ir::OptimizePlan(&optimized);
 
-      // Fresh executors each round: cold mirrors, every store shape hits
-      // the initial-rebuild path.
-      ir::PlanExecutor scalar;
-      ir::vec::VecPlanExecutor vec;
-      ScheduleContext context{};
-      context.store = &store;
-      context.now = SimTime::FromMicros(kNowUs);
-      auto want = scalar.Execute(plan, context);
-      auto got = vec.Execute(plan, context);
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ASSERT_EQ(got->size(), want->size())
-          << "seed " << seed << " round " << round << " rows " << rows
-          << "\nplan:\n" << ir::ExplainProtocolPlan(plan)
-          << "vec:    " << DescribeBatch(*got)
-          << "\nscalar: " << DescribeBatch(*want);
-      for (size_t i = 0; i < got->size(); ++i) {
-        ASSERT_EQ((*got)[i].id, (*want)[i].id)
-            << "seed " << seed << " round " << round << " position " << i
-            << "\nplan:\n" << ir::ExplainProtocolPlan(plan)
-            << "vec:    " << DescribeBatch(*got)
-            << "\nscalar: " << DescribeBatch(*want);
-      }
+      // Fresh executors each round: cold lock state, every store shape
+      // hits the initial-rebuild path.
+      ir::PlanExecutor raw_exec;
+      ir::PlanExecutor opt_exec;
+      const std::string where = "seed " + std::to_string(seed) + " round " +
+                                std::to_string(round) + " rows " +
+                                std::to_string(rows);
+      ExpectOptimizerSound(raw, optimized, &raw_exec, &opt_exec, &store,
+                           where);
+      if (::testing::Test::HasFailure()) return;
 
-      // Mutate the same store and re-run the same executors: the vec
-      // mirror sees an unnarrated edit mid-life, not just cold-start.
+      // Mutate the same store and re-run the same executors: they see an
+      // unnarrated edit mid-life, not just cold-start.
       if (rows > 0 && rng.Bernoulli(0.5)) {
         ASSERT_TRUE(store.sql_engine()
                         ->Execute("UPDATE requests SET priority = 0 "
                                   "WHERE object <= 2")
                         .ok());
-        auto want2 = scalar.Execute(plan, context);
-        auto got2 = vec.Execute(plan, context);
-        ASSERT_TRUE(want2.ok() && got2.ok());
-        ASSERT_EQ(got2->size(), want2->size())
-            << "post-DML seed " << seed << " round " << round;
-        for (size_t i = 0; i < got2->size(); ++i) {
-          ASSERT_EQ((*got2)[i].id, (*want2)[i].id)
-              << "post-DML seed " << seed << " round " << round;
-        }
+        ExpectOptimizerSound(raw, optimized, &raw_exec, &opt_exec, &store,
+                             "post-DML " + where);
+        if (::testing::Test::HasFailure()) return;
       }
     }
   }
 }
 
-TEST(IrVecFuzzTest, LimitExactlyAtSelectionBoundary) {
+TEST(IrPlanFuzzTest, LimitExactlyAtSelectionBoundary) {
   // Deterministic pin of the boundary the fuzz sweeps stochastically:
   // rank + limit with limit == surviving rows, == rows-1, == 0, and
-  // > rows, on the same store.
+  // > rows, on the same store, ordered and unordered.
   Rng rng(9);
   RequestStore store;
   PopulateStore(&store, &rng, 8);
   const int64_t live = static_cast<int64_t>((*store.AllPending()).size());
-  for (int64_t limit : {int64_t{0}, live - 1, live, live + 5}) {
-    ir::ProtocolPlan plan;
-    plan.source = "fuzz";
-    plan.ordered = true;
-    auto scan = ir::PlanNode::Make(ir::PlanNode::Kind::kScanPending);
-    auto rank = ir::PlanNode::Make(ir::PlanNode::Kind::kRank);
-    rank->keys.push_back({ir::RankSource::kDeadline});
-    rank->input = std::move(scan);
-    auto lim = ir::PlanNode::Make(ir::PlanNode::Kind::kLimit);
-    lim->limit = limit;
-    lim->input = std::move(rank);
-    plan.root = std::move(lim);
+  for (bool ordered : {true, false}) {
+    for (int64_t limit : {int64_t{0}, live - 1, live, live + 5}) {
+      auto make_plan = [&] {
+        ir::ProtocolPlan plan;
+        plan.source = "fuzz";
+        plan.ordered = ordered;
+        auto scan = ir::PlanNode::Make(ir::PlanNode::Kind::kScanPending);
+        auto rank = ir::PlanNode::Make(ir::PlanNode::Kind::kRank);
+        rank->keys.push_back({ir::RankSource::kDeadline});
+        rank->input = std::move(scan);
+        auto lim = ir::PlanNode::Make(ir::PlanNode::Kind::kLimit);
+        lim->limit = limit;
+        lim->input = std::move(rank);
+        plan.root = std::move(lim);
+        return plan;
+      };
+      const ir::ProtocolPlan raw = make_plan();
+      ir::ProtocolPlan optimized = make_plan();
+      ir::OptimizePlan(&optimized);
 
-    ir::PlanExecutor scalar;
-    ir::vec::VecPlanExecutor vec;
-    ScheduleContext context{};
-    context.store = &store;
-    auto want = scalar.Execute(plan, context);
-    auto got = vec.Execute(plan, context);
-    ASSERT_TRUE(want.ok() && got.ok()) << "limit " << limit;
-    EXPECT_EQ(static_cast<int64_t>(want->size()), std::min(limit, live));
-    ASSERT_EQ(got->size(), want->size()) << "limit " << limit;
-    for (size_t i = 0; i < got->size(); ++i) {
-      ASSERT_EQ((*got)[i].id, (*want)[i].id) << "limit " << limit;
+      ir::PlanExecutor raw_exec;
+      ir::PlanExecutor opt_exec;
+      const std::string where = std::string(ordered ? "ordered" : "unordered") +
+                                " limit " + std::to_string(limit);
+      ExpectOptimizerSound(raw, optimized, &raw_exec, &opt_exec, &store,
+                           where);
+      ScheduleContext context{};
+      context.store = &store;
+      auto out = raw_exec.Execute(raw, context);
+      ASSERT_TRUE(out.ok()) << where;
+      EXPECT_EQ(static_cast<int64_t>(out->size()), std::min(limit, live))
+          << where;
     }
   }
 }

@@ -260,14 +260,12 @@ TEST(TenantPolicyTest, StarvationBoostStageFrontsStarvedTenants) {
     spec.name = "boost";
     spec.backend = "composed";
     spec.text = c.pipeline;
-    for (const ProtocolSpec& variant : {spec, ScalarExecVariant(spec)}) {
-      auto compiled = ProtocolFactory::Global().Compile(variant, &store);
-      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-      const ScheduleContext context{&store, SimTime::FromMicros(500000)};
-      auto batch = (*compiled)->Schedule(context);
-      ASSERT_TRUE(batch.ok()) << c.label;
-      EXPECT_EQ(Ids(*batch), c.want) << c.label << " (" << variant.name << ")";
-    }
+    auto compiled = ProtocolFactory::Global().Compile(spec, &store);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    const ScheduleContext context{&store, SimTime::FromMicros(500000)};
+    auto batch = (*compiled)->Schedule(context);
+    ASSERT_TRUE(batch.ok()) << c.label;
+    EXPECT_EQ(Ids(*batch), c.want) << c.label;
   }
 }
 
